@@ -7,56 +7,40 @@
 // dominates every figure bench — so events/second here is the substrate's
 // end-to-end speed limit.
 //
-// Three experiments:
+// Two experiments:
 //   * culled   — spatial interference culling on (the default config);
 //   * dense    — culling disabled: every CCA read walks every active frame,
 //                the pre-culling O(N^2) behaviour. Deliberately NOT run at
 //                10k nodes: the walk grows ~25x over the 2k point, putting
 //                one measurement window into minutes of wall clock while
 //                adding nothing beyond the 2k contrast (the skip and this
-//                reason are recorded in the JSON);
-//   * workers  — the same city split into spatial regions and advanced by
-//                sim::RegionExecutor in conservative lookahead windows
-//                (lookahead = the 192 us rx/tx turnaround, the same bound
-//                the full MAC stack provides), swept across worker counts.
-//                The executor's fixed merge order makes the run bit-
-//                identical at every worker count; the bench asserts that by
-//                comparing event counts against the 1-worker run.
+//                reason are recorded in the JSON).
 //
 // Output: BENCH_scaling.json (see docs/scaling.md for how to read it):
 //   {
 //     "tool": "scaling_curve",
 //     "points": [{"nodes": N, "mode": "culled"|"dense", "events": E,
 //                 "wall_ms": W, "events_per_second": R}, ...],
-//     "worker_points": [{"nodes": N, "workers": W, "regions": R,
-//                        "events": E, "wall_ms": ..., "events_per_second":
-//                        ..., "speedup_vs_1": S, "deterministic": true}],
 //     "dense_skip_reason": "...",
-//     "hardware_threads": <std::thread::hardware_concurrency()>,
 //     "speedup_at_2000": <culled rate / dense rate at 2000 nodes>
 //   }
 //
 // Usage:
 //   scaling_curve [--out FILE] [--smoke] [--nodes N] [--duration S]
-//                 [--workers W]
-// --nodes / --duration / --workers pin a single city size, measurement
-// window, and worker count instead of the default sweeps; --smoke shrinks
-// everything for the tier-1 smoke test.
+// --nodes / --duration pin a single city size and measurement window
+// instead of the default sweep; --smoke shrinks everything for the tier-1
+// smoke test.
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cli/args.hpp"
 #include "mac/cca.hpp"
 #include "phy/medium.hpp"
 #include "phy/path_loss.hpp"
-#include "phy/region_partition.hpp"
-#include "phy/timing.hpp"
 #include "sim/random.hpp"
-#include "sim/region_executor.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
@@ -72,7 +56,7 @@ phy::MediumConfig city_medium_config(bool culled) {
   phy::MediumConfig config;
   // Urban propagation: steeper falloff than the paper's indoor testbed, so
   // a 0 dBm sender's influence radius is a few hundred metres and the
-  // deployment spans many culling cells (and many executor regions).
+  // deployment spans many culling cells.
   config.path_loss = phy::LogDistancePathLoss{3.5, phy::Db{40.0}, 1.0};
   config.culling.enabled = culled;
   return config;
@@ -83,19 +67,6 @@ struct Point {
   bool culled = true;
   std::uint64_t events = 0;
   double wall_ms = 0.0;
-  [[nodiscard]] double events_per_second() const {
-    return wall_ms <= 0.0 ? 0.0 : static_cast<double>(events) * 1e3 / wall_ms;
-  }
-};
-
-struct WorkerPoint {
-  int nodes = 0;
-  int workers = 0;
-  int regions = 0;
-  std::uint64_t events = 0;
-  double wall_ms = 0.0;
-  double speedup = 0.0;       ///< vs the 1-worker run of the same city
-  bool deterministic = true;  ///< event count matches the 1-worker run
   [[nodiscard]] double events_per_second() const {
     return wall_ms <= 0.0 ? 0.0 : static_cast<double>(events) * 1e3 / wall_ms;
   }
@@ -163,139 +134,13 @@ class City {
   std::vector<std::int64_t> period_ns_;
 };
 
-/// The same city split into spatial regions: one Scheduler + Medium pair per
-/// region, advanced by sim::RegionExecutor. A clear CCA commits the frame
-/// one turnaround ahead — exactly the lead the real MAC's CCA-to-TX path
-/// has — and mirrors it onto every region whose extent the influence disc
-/// touches, so carrier sensing sees the same interference as the serial
-/// city. A denser attempt cadence (2 ms) keeps each 192 us window populated,
-/// which is the regime the executor is built for.
-class ShardedCity {
- public:
-  ShardedCity(int nodes, int workers)
-      : executor_{{.lookahead = phy::kTurnaround, .workers = workers}} {
-    const phy::MediumConfig base = city_medium_config(/*culled=*/true);
-    influence_radius_m_ = phy::influence_radius_m(base, phy::Dbm{0.0});
-
-    int s = 1;
-    while (s * s < nodes) ++s;
-    std::vector<phy::Vec2> positions;
-    positions.reserve(static_cast<std::size_t>(nodes));
-    for (int i = 0; i < nodes; ++i) {
-      positions.push_back({static_cast<double>(i % s) * kSpacingM,
-                           static_cast<double>(i / s) * kSpacingM});
-    }
-    const phy::RegionPartition partition =
-        phy::RegionPartition::plan(positions, influence_radius_m_, /*max_side=*/8);
-    const int regions = partition.region_count();
-    extents_.assign(static_cast<std::size_t>(regions), {});
-    for (int r = 0; r < regions; ++r) {
-      phy::MediumConfig config = base;
-      config.node_id_base = static_cast<phy::NodeId>(r) << 20;
-      config.frame_id_base = static_cast<phy::FrameId>(r) << 48;
-      shards_.push_back(std::make_unique<Shard>());
-      shards_.back()->medium = std::make_unique<phy::Medium>(config);
-      executor_.add_shard(&shards_.back()->scheduler);
-    }
-
-    sim::SplitMix64 mix{static_cast<std::uint64_t>(nodes) * 3 + 1};
-    for (int i = 0; i < nodes; ++i) {
-      const int region = partition.region_of(positions[static_cast<std::size_t>(i)]);
-      Shard& shard = *shards_[static_cast<std::size_t>(region)];
-      Node node;
-      node.region = region;
-      node.id = shard.medium->add_node(positions[static_cast<std::size_t>(i)]);
-      node.pos = positions[static_cast<std::size_t>(i)];
-      node.channel = phy::Mhz{2445.0 + 3.0 * static_cast<double>(i % kChannelCount)};
-      node.period_ns = 2'000'000 + static_cast<std::int64_t>(mix.next() % 1'000'000);
-      extents_[static_cast<std::size_t>(region)].grow(node.pos);
-      const auto phase = static_cast<std::int64_t>(mix.next() % 2'000'000);
-      nodes_.push_back(node);
-      const std::size_t index = nodes_.size() - 1;
-      shard.scheduler.schedule_at(sim::SimTime::nanoseconds(phase),
-                                  [this, index] { attempt(index); });
-    }
-  }
-
-  [[nodiscard]] int region_count() const { return executor_.shard_count(); }
-
-  WorkerPoint run(sim::SimTime warmup, sim::SimTime window, int workers) {
-    executor_.run_until(warmup);
-    const std::uint64_t executed_before = executor_.executed();
-    const auto start = Clock::now();
-    executor_.run_until(warmup + window);
-    WorkerPoint point;
-    point.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-    point.events = executor_.executed() - executed_before;
-    point.nodes = static_cast<int>(nodes_.size());
-    point.workers = workers;
-    point.regions = region_count();
-    return point;
-  }
-
- private:
-  struct Shard {
-    sim::Scheduler scheduler;
-    std::unique_ptr<phy::Medium> medium;
-  };
-  struct Node {
-    int region = 0;
-    phy::NodeId id = 0;
-    phy::Vec2 pos{};
-    phy::Mhz channel{0.0};
-    std::int64_t period_ns = 0;
-  };
-
-  void attempt(std::size_t index) {
-    const Node& node = nodes_[index];
-    Shard& shard = *shards_[static_cast<std::size_t>(node.region)];
-    if (shard.medium->sense_energy(node.id, node.channel).value <
-        mac::kZigbeeDefaultCcaThreshold.value) {
-      phy::Frame frame;
-      frame.id = shard.medium->allocate_frame_id();
-      frame.src = node.id;
-      frame.src_pos = node.pos;
-      frame.channel = node.channel;
-      frame.tx_power = phy::Dbm{0.0};
-      frame.psdu_bytes = 100;
-      // Commit one lookahead ahead: the local region schedules directly, and
-      // every region the influence disc touches gets a mirrored frame via
-      // the executor's deterministic merge.
-      const sim::SimTime begin_at = shard.scheduler.now() + phy::kTurnaround;
-      const sim::SimTime end_at = begin_at + sim::SimTime::milliseconds(4);
-      phy::Medium* local = shard.medium.get();
-      shard.scheduler.schedule_at(begin_at, [local, frame] { local->begin_tx(frame); });
-      shard.scheduler.schedule_at(end_at, [local, id = frame.id] { local->end_tx(id); });
-      for (int r = 0; r < region_count(); ++r) {
-        if (r == node.region) continue;
-        if (!extents_[static_cast<std::size_t>(r)].intersects_disc(node.pos,
-                                                                   influence_radius_m_)) {
-          continue;
-        }
-        phy::Medium* other = shards_[static_cast<std::size_t>(r)]->medium.get();
-        executor_.post(node.region, r, begin_at, [other, frame] { other->begin_tx(frame); });
-        executor_.post(node.region, r, end_at, [other, id = frame.id] { other->end_tx(id); });
-      }
-    }
-    shard.scheduler.schedule_in(sim::SimTime::nanoseconds(node.period_ns),
-                                [this, index] { attempt(index); });
-  }
-
-  sim::RegionExecutor executor_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<phy::Aabb> extents_;
-  std::vector<Node> nodes_;
-  double influence_radius_m_ = 0.0;
-};
-
 constexpr const char* kDenseSkipReason =
     "dense mode at 10000 nodes is skipped: with culling off every CCA sense "
     "walks every active frame, so the walk grows ~25x over the 2000-node "
     "point and one measurement window takes minutes of wall clock without "
     "adding information beyond the 2000-node culled/dense contrast";
 
-void write_json(const std::string& path, const std::vector<Point>& points,
-                const std::vector<WorkerPoint>& worker_points, double speedup) {
+void write_json(const std::string& path, const std::vector<Point>& points, double speedup) {
   std::FILE* out = std::fopen(path.c_str(), "wb");
   if (out == nullptr) {
     std::fprintf(stderr, "scaling_curve: cannot write %s\n", path.c_str());
@@ -311,22 +156,7 @@ void write_json(const std::string& path, const std::vector<Point>& points,
                  static_cast<unsigned long long>(p.events), p.wall_ms, p.events_per_second(),
                  i + 1 < points.size() ? "," : "");
   }
-  std::fprintf(out, "  ],\n  \"worker_points\": [\n");
-  for (std::size_t i = 0; i < worker_points.size(); ++i) {
-    const WorkerPoint& p = worker_points[i];
-    std::fprintf(out,
-                 "    {\"nodes\": %d, \"workers\": %d, \"regions\": %d, \"events\": %llu, "
-                 "\"wall_ms\": %.3f, \"events_per_second\": %.1f, \"speedup_vs_1\": %.2f, "
-                 "\"deterministic\": %s}%s\n",
-                 p.nodes, p.workers, p.regions, static_cast<unsigned long long>(p.events),
-                 p.wall_ms, p.events_per_second(), p.speedup,
-                 p.deterministic ? "true" : "false",
-                 i + 1 < worker_points.size() ? "," : "");
-  }
   std::fprintf(out, "  ],\n  \"dense_skip_reason\": \"%s\",\n", kDenseSkipReason);
-  // Worker speedup is bounded by physical cores: a reader comparing
-  // speedup_vs_1 against the worker count needs to know the ceiling.
-  std::fprintf(out, "  \"hardware_threads\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(out, "  \"speedup_at_2000\": %.2f\n}\n", speedup);
   std::fclose(out);
 }
@@ -339,8 +169,6 @@ int main(int argc, char** argv) {
   args.add_flag("smoke", "tiny sizes and windows for the tier-1 smoke test");
   args.add_int("nodes", 0, "pin one city size instead of the default sweep");
   args.add_double("duration", 0.0, "measurement window in seconds (0 = default)");
-  args.add_int("workers", 0,
-               "pin one worker count for the region sweep (0 = sweep 1/2/4/8)");
   if (!args.parse(argc - 1, argv + 1)) {
     std::fprintf(stderr, "scaling_curve: %s\n%s", args.error().c_str(),
                  args.help("scaling_curve").c_str());
@@ -354,26 +182,16 @@ int main(int argc, char** argv) {
   const std::string out_path = args.get_string("out");
   const bool smoke = args.get_flag("smoke");
   const int pinned_nodes = args.get_int("nodes");
-  const int pinned_workers = args.get_int("workers");
 
   std::vector<int> culled_sizes = smoke ? std::vector<int>{100, 300}
                                         : std::vector<int>{500, 2000, 10000};
   std::vector<int> dense_sizes = smoke ? std::vector<int>{100, 300}
                                        : std::vector<int>{500, 2000};
-  std::vector<int> worker_sizes = smoke ? std::vector<int>{300}
-                                        : std::vector<int>{2000, 10000};
   if (pinned_nodes > 0) {
     culled_sizes = {pinned_nodes};
     // The dense walk is O(N^2); beyond the default 2k ceiling it takes
     // minutes per point, so a pinned large size skips it (see JSON reason).
     dense_sizes = pinned_nodes <= 2000 ? std::vector<int>{pinned_nodes} : std::vector<int>{};
-    worker_sizes = {pinned_nodes};
-  }
-  std::vector<int> worker_counts = smoke ? std::vector<int>{1, 2}
-                                         : std::vector<int>{1, 2, 4, 8};
-  if (pinned_workers > 0) {
-    worker_counts = pinned_workers == 1 ? std::vector<int>{1}
-                                        : std::vector<int>{1, pinned_workers};
   }
 
   const sim::SimTime warmup = sim::SimTime::milliseconds(smoke ? 40 : 200);
@@ -381,13 +199,6 @@ int main(int argc, char** argv) {
       args.get_double("duration") > 0.0
           ? sim::SimTime::seconds(args.get_double("duration"))
           : sim::SimTime::milliseconds(smoke ? 100 : 1000);
-  // The sharded city runs a 10x denser attempt cadence (every 192 us window
-  // must stay populated), so its default window is shorter to keep the whole
-  // sweep tolerable; --duration pins both windows.
-  const sim::SimTime worker_window =
-      args.get_double("duration") > 0.0
-          ? sim::SimTime::seconds(args.get_double("duration"))
-          : sim::SimTime::milliseconds(smoke ? 60 : 250);
 
   std::vector<Point> points;
   double rate_culled_ref = 0.0;
@@ -411,43 +222,8 @@ int main(int argc, char** argv) {
   }
   if (!smoke && pinned_nodes == 0) std::printf("dense  10000 nodes: skipped — O(N^2)\n");
 
-  // Worker sweep: each (size, workers) pair builds a fresh sharded city, so
-  // the 1-worker run is the baseline and the event counts must agree exactly
-  // (the executor's determinism contract, asserted here).
-  std::vector<WorkerPoint> worker_points;
-  const unsigned hardware = std::thread::hardware_concurrency();
-  for (const int w : worker_counts) {
-    if (static_cast<unsigned>(w) > hardware) {
-      std::printf("note: %d workers exceed the %u hardware thread(s) — wall-clock "
-                  "speedup is core-bound; results stay bit-identical regardless\n",
-                  w, hardware);
-      break;
-    }
-  }
-  for (const int nodes : worker_sizes) {
-    std::uint64_t events_at_1 = 0;
-    double wall_at_1 = 0.0;
-    for (const int workers : worker_counts) {
-      ShardedCity city{nodes, workers};
-      WorkerPoint p = city.run(warmup, worker_window, workers);
-      if (workers == 1) {
-        events_at_1 = p.events;
-        wall_at_1 = p.wall_ms;
-      }
-      p.deterministic = p.events == events_at_1;
-      p.speedup = p.wall_ms > 0.0 ? wall_at_1 / p.wall_ms : 0.0;
-      std::printf(
-          "regions %6d nodes x %d worker(s): %8llu events in %9.2f ms  "
-          "(%.0f events/s, %d regions, %.2fx%s)\n",
-          p.nodes, p.workers, static_cast<unsigned long long>(p.events), p.wall_ms,
-          p.events_per_second(), p.regions, p.speedup,
-          p.deterministic ? "" : ", NONDETERMINISTIC");
-      worker_points.push_back(p);
-    }
-  }
-
   const double speedup = rate_dense_ref > 0.0 ? rate_culled_ref / rate_dense_ref : 0.0;
   if (rate_dense_ref > 0.0) std::printf("speedup at %d nodes: %.2fx\n", ref_nodes, speedup);
-  write_json(out_path, points, worker_points, speedup);
+  write_json(out_path, points, speedup);
   return 0;
 }

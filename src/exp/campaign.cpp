@@ -8,7 +8,6 @@
 
 #include "net/scenario.hpp"
 #include "net/scheme_names.hpp"
-#include "net/sharded_scenario.hpp"
 #include "net/topology.hpp"
 #include "phy/channel_plan.hpp"
 #include "sim/parallel.hpp"
@@ -73,9 +72,8 @@ bool rewrite_timing_sidecar(const std::string& path, const std::set<int>& comple
     JsonValue parsed;
     std::string json_error;
     if (!parse_json(line, parsed, json_error)) continue;
-    const JsonValue* point = parsed.find("point");
-    if (point == nullptr || point->type != JsonValue::Type::kNumber) continue;
-    if (completed.count(static_cast<int>(point->number)) == 0) continue;
+    int point = -1;
+    if (!json_int(parsed.find("point"), point) || completed.count(point) == 0) continue;
     kept.push_back(std::move(line));
   }
 
@@ -86,10 +84,38 @@ bool rewrite_timing_sidecar(const std::string& path, const std::set<int>& comple
   return true;
 }
 
+/// One trial's per-network numbers; backoffs and drops are per second of the
+/// measurement window.
+struct TrialNumbers {
+  std::vector<double> pps, prr, backoffs, drops;
+  double overall = 0.0;
+};
+
+TrialNumbers collect_trial(const net::Scenario& scenario, double measure_s) {
+  TrialNumbers one;
+  one.overall = scenario.overall_throughput();
+  for (int n = 0; n < scenario.network_count(); ++n) {
+    const net::Scenario::NetworkResult network = scenario.network_result(n);
+    double prr = 0.0;
+    double backoffs = 0.0;
+    double drops = 0.0;
+    for (const net::Scenario::LinkResult& link : network.links) {
+      prr += link.prr;
+      backoffs += static_cast<double>(link.sender.cca_backoffs);
+      drops += static_cast<double>(link.sender.cca_failures);
+    }
+    one.pps.push_back(network.throughput_pps);
+    one.prr.push_back(prr / static_cast<double>(network.links.size()));
+    one.backoffs.push_back(backoffs / measure_s);
+    one.drops.push_back(drops / measure_s);
+  }
+  return one;
+}
+
 }  // namespace
 
 PointResult run_point(const PointParams& params, sim::ParallelRunner& runner,
-                      const TrialHook& pre_run, int trial_workers) {
+                      const TrialHook& pre_run) {
   net::Scheme scheme = net::Scheme::kFixedCca;
   const bool scheme_ok = net::parse_scheme(params.scheme, scheme);
   assert(scheme_ok && "PointParams.scheme must be pre-validated");
@@ -104,10 +130,6 @@ PointResult run_point(const PointParams& params, sim::ParallelRunner& runner,
     topology = topology.with_fixed_power(phy::Dbm{*params.power_dbm});
   }
 
-  struct TrialNumbers {
-    std::vector<double> pps, prr, backoffs, drops;
-    double overall = 0.0;
-  };
   const std::vector<TrialNumbers> per_trial = runner.map(params.trials, [&](int trial) {
     const std::uint64_t seed = trial_seed(params, trial);
     sim::RandomStream placement{seed, /*index=*/999};
@@ -120,46 +142,16 @@ PointResult run_point(const PointParams& params, sim::ParallelRunner& runner,
       specs = net::case1_dense(channels, placement, topology);
     }
 
-    // Scenario and ShardedScenario expose the same result API; the collector
-    // is generic so both execution paths produce the numbers identically.
-    const auto collect = [&params](const auto& scenario) {
-      TrialNumbers one;
-      one.overall = scenario.overall_throughput();
-      for (int n = 0; n < scenario.network_count(); ++n) {
-        const auto network = scenario.network_result(n);
-        double prr = 0.0;
-        double backoffs = 0.0;
-        double drops = 0.0;
-        for (const auto& link : network.links) {
-          prr += link.prr;
-          backoffs += static_cast<double>(link.sender.cca_backoffs);
-          drops += static_cast<double>(link.sender.cca_failures);
-        }
-        one.pps.push_back(network.throughput_pps);
-        one.prr.push_back(prr / static_cast<double>(network.links.size()));
-        one.backoffs.push_back(backoffs / params.measure_s);
-        one.drops.push_back(drops / params.measure_s);
-      }
-      return one;
-    };
-
     net::ScenarioConfig config;
     config.seed = seed;
     config.psdu_bytes = params.psdu_bytes;
     config.fixed_cca_threshold = phy::Dbm{params.cca_dbm};
-    if (trial_workers != 1) {
-      net::ShardedScenario scenario{config, {.trial_workers = trial_workers}};
-      scenario.add_networks(specs, scheme);
-      scenario.run(sim::SimTime::seconds(params.warmup_s),
-                   sim::SimTime::seconds(params.measure_s));
-      return collect(scenario);
-    }
     net::Scenario scenario{config};
     if (pre_run) pre_run(trial, scenario);
     scenario.add_networks(specs, scheme);
     scenario.run(sim::SimTime::seconds(params.warmup_s),
                  sim::SimTime::seconds(params.measure_s));
-    return collect(scenario);
+    return collect_trial(scenario, params.measure_s);
   });
 
   PointResult mean;
@@ -324,7 +316,7 @@ bool run_point_range(const CampaignSpec& spec, int first, int count,
   for (int index = first; index < first + count; ++index) {
     const SweepPoint& point = points[static_cast<std::size_t>(index)];
     const auto start = std::chrono::steady_clock::now();
-    const PointResult result = run_point(point.params, runner, {}, options.trial_workers);
+    const PointResult result = run_point(point.params, runner);
     const double wall_ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
             .count();
@@ -379,8 +371,7 @@ bool run_campaign(const CampaignSpec& spec, const std::string& out_path,
     const SweepPoint& point = *pending[static_cast<std::size_t>(slot)];
     const auto start = std::chrono::steady_clock::now();
     const PointResult result =
-        run_point(point.params, *trial_pools[static_cast<std::size_t>(worker)], {},
-                  options.trial_workers);
+        run_point(point.params, *trial_pools[static_cast<std::size_t>(worker)]);
     const double wall_ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
             .count();

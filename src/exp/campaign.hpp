@@ -47,16 +47,8 @@ using TrialHook = std::function<void(int trial, net::Scenario&)>;
 /// Run one operating point: params.trials independent deployments replicated
 /// on `runner`, merged in seed order. The params must be pre-validated
 /// (parser or cli helpers); run_point asserts on an unknown scheme/topology.
-///
-/// `trial_workers` != 1 runs each trial through net::ShardedScenario (spatial
-/// region shards advanced in conservative lookahead windows) instead of the
-/// serial net::Scenario. It is a wall-clock knob with resolve_jobs semantics
-/// (0 = all hardware threads): results are bit-identical at every value, so
-/// it is deliberately NOT part of PointParams and never enters the record.
-/// The pre_run hook fires only on the serial path (it receives a
-/// net::Scenario, which a sharded trial does not build).
 [[nodiscard]] PointResult run_point(const PointParams& params, sim::ParallelRunner& runner,
-                                    const TrialHook& pre_run = {}, int trial_workers = 1);
+                                    const TrialHook& pre_run = {});
 
 struct CampaignOptions {
   int jobs = 1;  ///< trial threads per point, as sim::resolve_jobs (0 = all)
@@ -71,10 +63,6 @@ struct CampaignOptions {
     kResume,     ///< keep completed points, compute the rest
   };
   Mode mode = Mode::kFresh;
-  /// Worker threads inside each trial (region-sharded execution; see
-  /// run_point). Like jobs/point_jobs this is an execution knob only — the
-  /// store bytes do not depend on it, and it is not part of the spec hash.
-  int trial_workers = 1;
   /// Stop after computing this many new points (< 0 = no limit). The test
   /// suite uses this to simulate an interrupted campaign.
   int max_points = -1;
@@ -108,8 +96,7 @@ bool prepare_store(const CampaignSpec& spec, const std::string& out_path,
 
 /// Execution knobs for run_point_range (the worker-process entry point).
 struct RangeOptions {
-  int jobs = 1;           ///< trial threads per point (sim::resolve_jobs)
-  int trial_workers = 1;  ///< region-sharded workers inside each trial
+  int jobs = 1;  ///< trial threads per point (sim::resolve_jobs)
 };
 
 /// Compute grid points [first, first+count) of `spec` in ascending point

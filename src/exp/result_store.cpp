@@ -1,7 +1,9 @@
 #include "exp/result_store.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace nomc::exp {
 namespace {
@@ -186,6 +188,17 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return nullptr;
 }
 
+bool json_int(const JsonValue* value, int& out) {
+  if (value == nullptr || value->type != JsonValue::Type::kNumber) return false;
+  const double number = value->number;
+  // Written so NaN fails the range test too.
+  if (!(number >= std::numeric_limits<int>::min() && number <= std::numeric_limits<int>::max()))
+    return false;
+  if (std::trunc(number) != number) return false;
+  out = static_cast<int>(number);
+  return true;
+}
+
 bool parse_json(const std::string& text, JsonValue& out, std::string& error) {
   out = JsonValue{};
   return JsonParser{text, error}.parse(out);
@@ -228,12 +241,10 @@ bool parse_record(const std::string& line, ResultRecord& out, std::string& error
   }
   out = ResultRecord{};
 
-  const JsonValue* version = root.find("v");
-  if (version == nullptr || version->type != JsonValue::Type::kNumber) {
+  if (!json_int(root.find("v"), out.version)) {
     error = "record has no version field";
     return false;
   }
-  out.version = static_cast<int>(version->number);
   if (out.version != kStoreVersion) {
     error = "unsupported store version " + std::to_string(out.version) + " (this build reads v" +
             std::to_string(kStoreVersion) + ")";
@@ -242,16 +253,14 @@ bool parse_record(const std::string& line, ResultRecord& out, std::string& error
 
   const JsonValue* campaign = root.find("campaign");
   const JsonValue* hash = root.find("spec_hash");
-  const JsonValue* point = root.find("point");
   if (campaign == nullptr || campaign->type != JsonValue::Type::kString ||
       hash == nullptr || hash->type != JsonValue::Type::kString ||
-      point == nullptr || point->type != JsonValue::Type::kNumber) {
+      !json_int(root.find("point"), out.point)) {
     error = "record missing campaign/spec_hash/point";
     return false;
   }
   out.campaign = campaign->string;
   out.spec_hash = hash->string;
-  out.point = static_cast<int>(point->number);
 
   if (const JsonValue* sweep = root.find("sweep");
       sweep != nullptr && sweep->type == JsonValue::Type::kObject) {

@@ -47,6 +47,12 @@ struct JsonValue {
   [[nodiscard]] const JsonValue* find(const std::string& key) const;
 };
 
+/// Read `value` as an int: true only for a JSON number that is finite,
+/// integral and within int range (so 2.5 and 1e300 fail, not truncate).
+/// A null `value` (an absent member) or a non-number fails too; `out` is
+/// written only on success.
+[[nodiscard]] bool json_int(const JsonValue* value, int& out);
+
 /// Parse one complete JSON document (trailing whitespace allowed).
 bool parse_json(const std::string& text, JsonValue& out, std::string& error);
 

@@ -198,17 +198,14 @@ void check_det_unordered_output(const SourceFile& file, std::vector<Diagnostic>&
 
 // ---- det-raw-thread ------------------------------------------------------
 
-// Raw threading primitives outside the sanctioned concurrency homes. All
-// parallelism must flow through sim::ParallelRunner (trial/point fan-out)
-// or sim::RegionExecutor (intra-trial region shards): both are deterministic
-// by construction, while an ad-hoc std::thread/std::async invites exactly
-// the thread-timing dependence the twin-run tests exist to rule out.
+// Raw threading primitives outside the sanctioned concurrency home. All
+// parallelism must flow through sim::ParallelRunner (trial/point fan-out),
+// which is deterministic by construction, while an ad-hoc
+// std::thread/std::async invites exactly the thread-timing dependence the
+// twin-run tests exist to rule out.
 // std::thread::hardware_concurrency() is a pure query and stays legal.
 void check_det_raw_thread(const SourceFile& file, std::vector<Diagnostic>& out) {
-  if (path_contains(file.path, "sim/parallel.") ||
-      path_contains(file.path, "sim/region_executor.")) {
-    return;
-  }
+  if (path_contains(file.path, "sim/parallel.")) return;
   const auto& tokens = file.tokens;
   for (std::size_t i = 0; i + 2 < tokens.size(); ++i) {
     if (tokens[i].kind != Token::Kind::kIdentifier || tokens[i].text != "std") continue;
@@ -221,9 +218,8 @@ void check_det_raw_thread(const SourceFile& file, std::vector<Diagnostic>& out) 
     }
     report(out, file, tokens[i].line, tokens[i].col, "det-raw-thread",
            "raw std::" + name +
-               " outside src/sim/parallel* and src/sim/region_executor* — use "
-               "sim::ParallelRunner or sim::RegionExecutor so execution stays "
-               "deterministic at any worker count");
+               " outside src/sim/parallel* — use sim::ParallelRunner so execution "
+               "stays deterministic at any worker count");
   }
 }
 
@@ -508,7 +504,7 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"det-rand", "nondeterministic or stdlib RNG outside src/sim/random.*"},
       {"det-time-seed", "wall-clock time() used as a seed value"},
       {"det-unordered-output", "unordered-container iteration feeding an output path"},
-      {"det-raw-thread", "raw std::thread/std::async outside the sanctioned runners"},
+      {"det-raw-thread", "raw std::thread/std::async outside src/sim/parallel*"},
       {"det-g-format", "'g'-conversion float formatting outside the pinned store format"},
       {"svc-raw-socket", "raw socket/bind/listen/accept/connect calls outside src/svc/"},
       {"svc-raw-fork", "raw fork/exec*/waitpid calls outside src/svc/worker_pool.cpp"},

@@ -14,10 +14,10 @@
 //                         body reaches an output sink (store/checkpoint/
 //                         CSV/stdio) — iteration order is not deterministic
 //   det-raw-thread        std::thread/std::jthread/std::async outside
-//                         src/sim/parallel* and src/sim/region_executor* —
-//                         parallelism must flow through the deterministic
-//                         runners (std::thread::hardware_concurrency stays
-//                         legal; it is a pure query)
+//                         src/sim/parallel* — parallelism must flow through
+//                         the deterministic runner (std::thread::
+//                         hardware_concurrency stays legal; it is a pure
+//                         query)
 //   det-g-format          'g'-conversion float formatting anywhere except
 //                         exp::result_store's pinned %.17g — shortest-round-
 //                         trip output elsewhere silently loses precision

@@ -131,10 +131,8 @@ void CsmaMac::do_cca() {
   }
 
   // CCA is clear: the transmission is committed. The frame is built (and its
-  // id allocated) here, at the commit instant, because the decision is
-  // irrevocable from this point — the radio fires exactly one turnaround
-  // later, which is the lookahead a region router relies on to mirror the
-  // frame onto neighbouring shards before it can be observed anywhere.
+  // id allocated) here, at the commit instant; the radio fires exactly one
+  // turnaround later.
   phy::Frame frame;
   frame.id = medium_.allocate_frame_id();
   frame.src = radio_.node();

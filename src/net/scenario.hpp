@@ -45,11 +45,6 @@ struct ScenarioConfig {
   /// cancel-heavy ACK-timer workloads through the full stack.
   bool ack_request = false;
   std::uint64_t seed = 1;
-  /// Base offset for the RNG stream indices this scenario allocates (radio,
-  /// MAC, adjustor streams). Region-sharded runs give every shard a disjoint
-  /// block under the same seed so shard streams never collide; serial runs
-  /// keep 0.
-  std::uint64_t stream_base = 0;
 };
 
 class Scenario {
@@ -94,9 +89,9 @@ class Scenario {
   void run(sim::SimTime warmup, sim::SimTime measure);
 
   /// The setup half of run(): arm traffic sources, adjustors, and the
-  /// window-baseline snapshot without advancing time. A region-sharded run
-  /// calls this on every shard and then drives all shard schedulers through
-  /// one sim::RegionExecutor instead of the local run_until.
+  /// window-baseline snapshot without advancing time. A caller that wants
+  /// to observe the run in slices calls this, then drives scheduler()
+  /// through run_until up to warmup + measure itself.
   void start_run(sim::SimTime warmup, sim::SimTime measure);
 
   // -- Results (valid after run) ----------------------------------------
@@ -121,7 +116,7 @@ class Scenario {
 
   [[nodiscard]] LinkRuntime& link_at(int network, int link);
   [[nodiscard]] const LinkRuntime& link_at(int network, int link) const;
-  [[nodiscard]] std::uint64_t next_stream() { return config_.stream_base + stream_counter_++; }
+  [[nodiscard]] std::uint64_t next_stream() { return stream_counter_++; }
 
   ScenarioConfig config_;
   sim::Scheduler scheduler_;

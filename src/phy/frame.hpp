@@ -41,10 +41,9 @@ struct Frame {
   std::uint8_t repair_round = 0;  ///< PPR: 0 = original, >0 = repair frame
   std::uint16_t aux = 0;          ///< small control payload (PPR: dirty-block count)
 
-  /// Transmitter position snapshotted when the transmission committed.
-  /// Region-sharded runs mirror frames onto shard mediums that do not host
-  /// the transmitter; those mediums compute path loss from this snapshot.
-  /// Serial mediums ignore it for frames whose source they own.
+  /// Unused by the simulator: Medium always places a frame at its source
+  /// node's current position, and nothing in src/ reads or writes this
+  /// field. Kept because perfbench/src/layer_probe.cpp assigns it.
   Vec2 src_pos{};
 
   /// Transmitter emission mask for WIDEBAND interferers (e.g. a colocated

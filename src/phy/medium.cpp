@@ -6,16 +6,8 @@
 
 namespace nomc::phy {
 
-double influence_radius_m(const MediumConfig& config, Dbm tx_power) {
-  const double shadow_cap = config.culling.shadow_cap_sigma * config.shadowing_sigma_db;
-  const double floor = config.noise_floor.value - config.culling.margin_db;
-  return config.path_loss.distance_for_loss(Db{tx_power.value + shadow_cap - floor});
-}
-
 Medium::Medium(MediumConfig config)
-    : config_{std::move(config)},
-      shadowing_{config_.shadowing_sigma_db, config_.seed},
-      next_frame_id_{config_.frame_id_base + 1} {
+    : config_{std::move(config)}, shadowing_{config_.shadowing_sigma_db, config_.seed} {
   if (config_.culling.enabled) {
     double cell = config_.culling.cell_size_m;
     if (cell <= 0.0) cell = influence_radius_m(Dbm{0.0});
@@ -24,14 +16,15 @@ Medium::Medium(MediumConfig config)
 }
 
 double Medium::influence_radius_m(Dbm tx_power) const {
-  return phy::influence_radius_m(config_, tx_power);
+  const double shadow_cap = config_.culling.shadow_cap_sigma * config_.shadowing_sigma_db;
+  return config_.path_loss.distance_for_loss(Db{tx_power.value + shadow_cap - cull_floor_dbm()});
 }
 
 NodeId Medium::add_node(Vec2 position) {
   positions_.push_back(position);
   epochs_.push_back(0);
   loss_cache_.emplace_back();
-  return config_.node_id_base + static_cast<NodeId>(positions_.size() - 1);
+  return static_cast<NodeId>(positions_.size() - 1);
 }
 
 Vec2 Medium::position(NodeId node) const { return positions_[local_index(node)]; }
@@ -76,26 +69,6 @@ double Medium::cached_loss_db(NodeId a, NodeId b) const {
   return entry.value;
 }
 
-double Medium::cached_ext_loss_db(const Frame& frame, NodeId rx) const {
-  auto it = ext_loss_cache_.find(frame.id);
-  if (it == ext_loss_cache_.end()) {
-    NodeValueMap map;
-    if (!spare_maps_.empty()) {
-      map = std::move(spare_maps_.back());
-      spare_maps_.pop_back();
-    }
-    it = ext_loss_cache_.emplace(frame.id, std::move(map)).first;
-  }
-  const std::size_t ri = local_index(rx);
-  NodeValueMap::Entry& entry = it->second.find_or_insert(rx);
-  if (entry.key != rx || entry.epoch != epochs_[ri]) {
-    entry.key = rx;
-    entry.epoch = epochs_[ri];
-    entry.value = config_.path_loss.loss(distance(frame.src_pos, positions_[ri])).value;
-  }
-  return entry.value;
-}
-
 double Medium::cached_shadow_db(FrameId frame, NodeId rx) const {
   auto it = shadow_cache_.find(frame);
   if (it == shadow_cache_.end()) {
@@ -116,7 +89,7 @@ double Medium::cached_shadow_db(FrameId frame, NodeId rx) const {
 
 void Medium::add_listener(MediumListener* listener, NodeId node) {
   assert(listener != nullptr);
-  assert(owns(node) && "listeners must listen at a locally registered node");
+  assert(owns(node) && "listeners must listen at a registered node");
   listeners_.push_back({listener, node});
 }
 
@@ -149,9 +122,7 @@ void Medium::notify_listeners(const Frame& frame, Vec2 src_pos, double radius, b
 void Medium::begin_tx(const Frame& frame) {
   assert(frame.id != 0 && "allocate the frame id through the medium");
   assert(slot_of_.find(frame.id) == slot_of_.end() && "frame id already on the air");
-  // A frame from a locally registered source is placed at that node's current
-  // position; a foreign (region-mirrored) frame at its committed snapshot.
-  const Vec2 src_pos = owns(frame.src) ? positions_[local_index(frame.src)] : frame.src_pos;
+  const Vec2 src_pos = positions_[local_index(frame.src)];
   const double radius = influence_radius_m(frame.tx_power);
   // Notify first: listeners observe the pre-change interference set.
   notify_listeners(frame, src_pos, radius, /*start=*/true);
@@ -206,18 +177,10 @@ void Medium::end_tx(FrameId id) {
     spare_maps_.push_back(std::move(shadow->second));
     shadow_cache_.erase(shadow);
   }
-  const auto ext = ext_loss_cache_.find(id);
-  if (ext != ext_loss_cache_.end()) {
-    ext->second.clear();
-    spare_maps_.push_back(std::move(ext->second));
-    ext_loss_cache_.erase(ext);
-  }
 }
 
 Dbm Medium::rss(const Frame& frame, NodeId rx) const {
-  assert(owns(rx));
-  const double loss =
-      owns(frame.src) ? cached_loss_db(frame.src, rx) : cached_ext_loss_db(frame, rx);
+  const double loss = cached_loss_db(frame.src, rx);
   if (shadowing_.sigma_db() <= 0.0) {
     return frame.tx_power - Db{loss};
   }

@@ -94,21 +94,7 @@ struct MediumConfig {
   double shadowing_sigma_db = 2.5;
   std::uint64_t seed = 1;
   CullingConfig culling{};
-  /// First node id add_node() hands out. Region-sharded runs give each shard
-  /// medium a disjoint id range so mirrored frames never alias local nodes;
-  /// serial runs keep the default 0.
-  NodeId node_id_base = 0;
-  /// allocate_frame_id() counts up from frame_id_base + 1. Region-sharded
-  /// runs key this off the region index so frame ids stay globally unique
-  /// (shadowing draws hash the frame id; collisions would correlate fades).
-  FrameId frame_id_base = 0;
 };
-
-/// The culling radius a frame sent at `tx_power` carries under `config`:
-/// the distance at which tx_power + the shadowing head-room falls to the
-/// receive floor (noise − margin). Free-standing so region planners can
-/// derive shard extents without building a Medium.
-[[nodiscard]] double influence_radius_m(const MediumConfig& config, Dbm tx_power);
 
 class Medium {
  public:
@@ -116,23 +102,16 @@ class Medium {
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
 
-  /// Registers a node at `position`; returns its id (dense, starting at
-  /// `node_id_base`).
+  /// Registers a node at `position`; returns its id (dense, starting at 0).
   NodeId add_node(Vec2 position);
   [[nodiscard]] std::size_t node_count() const { return positions_.size(); }
-  /// True when `node` was registered with this medium (its id falls in this
-  /// medium's [node_id_base, node_id_base + node_count) range). Frames from
-  /// foreign sources — mirrored by a region router — fail this and are
-  /// modelled from their Frame::src_pos snapshot instead.
-  [[nodiscard]] bool owns(NodeId node) const {
-    return node >= config_.node_id_base &&
-           node - config_.node_id_base < positions_.size();
-  }
+  /// True when `node` was registered with this medium.
+  [[nodiscard]] bool owns(NodeId node) const { return node < positions_.size(); }
   [[nodiscard]] Vec2 position(NodeId node) const;
   void set_position(NodeId node, Vec2 position);
 
   /// Listeners (radios) are notified of tx start/end. `node` is the
-  /// listener's own (locally registered) node: with culling enabled,
+  /// listener's own node: with culling enabled,
   /// notifications are delivered only to listeners inside the frame's
   /// influence disc — beyond it the frame is unobservable by construction,
   /// so skipping the callback only re-anchors where error-segment RNG draws
@@ -217,18 +196,14 @@ class Medium {
   [[nodiscard]] static Db leak_attenuation(const Frame& f, Mhz delta,
                                            const ChannelRejection& rejection);
   /// Memoized PL(distance(a, b)); entries staled by either endpoint moving.
-  /// Both endpoints must be locally registered.
   [[nodiscard]] double cached_loss_db(NodeId a, NodeId b) const;
-  /// Memoized PL between a foreign frame's src_pos snapshot and local `rx`,
-  /// keyed per frame id (recycled when the frame leaves the air).
-  [[nodiscard]] double cached_ext_loss_db(const Frame& frame, NodeId rx) const;
   /// Memoized shadowing draw for (frame id, rx).
   [[nodiscard]] double cached_shadow_db(FrameId frame, NodeId rx) const;
 
-  /// Dense storage index of a locally registered node.
+  /// Dense storage index of a registered node.
   [[nodiscard]] std::size_t local_index(NodeId node) const {
     assert(owns(node));
-    return static_cast<std::size_t>(node - config_.node_id_base);
+    return static_cast<std::size_t>(node);
   }
 
   /// Noise floor minus the culling margin, in dBm: energy below this is
@@ -276,9 +251,6 @@ class Medium {
   /// Per-frame shadowing draws keyed by rx; map storage recycles through
   /// spare_maps_ when frames leave the air.
   mutable std::unordered_map<FrameId, NodeValueMap> shadow_cache_;
-  /// Path loss from a foreign frame's src_pos snapshot, keyed like
-  /// shadow_cache_ and recycled through the same pool.
-  mutable std::unordered_map<FrameId, NodeValueMap> ext_loss_cache_;
   mutable std::vector<NodeValueMap> spare_maps_;
   /// Query candidate buffer, reused across queries (single-threaded).
   mutable std::vector<std::pair<std::uint64_t, std::uint32_t>> scratch_;

@@ -78,11 +78,6 @@ void Radio::transmit(const Frame& frame) {
 }
 
 sim::EventId Radio::schedule_tx(sim::SimTime lead, Frame frame, bool skip_if_busy) {
-  frame.src_pos = medium_.position(self_);
-  if (router_ != nullptr) {
-    router_->commit_tx(frame, scheduler_.now() + lead, *this, skip_if_busy);
-    return sim::kInvalidEventId;
-  }
   if (skip_if_busy) {
     return scheduler_.schedule_in(lead, [this, frame] {
       if (state_ == State::kTx) return;

@@ -37,26 +37,6 @@ class RadioListener {
   virtual void on_tx_done(const Frame& frame) = 0;
 };
 
-class Radio;
-
-/// Routes committed transmissions in region-sharded runs (see
-/// docs/parallel_trial.md). A transmission is *committed* when the MAC's CCA
-/// decision is final: the frame hits the air a fixed turnaround later, and
-/// nothing can revoke it. That turnaround is exactly the region executor's
-/// lookahead, so a router can mirror the frame onto every other shard whose
-/// extent the influence disc touches without ever needing to reach into the
-/// current window.
-class TxRouter {
- public:
-  virtual ~TxRouter() = default;
-  /// `frame` (src_pos already snapshotted) starts at absolute time `start`.
-  /// `origin` is the committing radio; the router must make it transmit at
-  /// `start` (honouring `skip_if_busy`: skip when the radio is mid-TX then,
-  /// the control-frame rule) and mirror the frame wherever else it reaches.
-  virtual void commit_tx(const Frame& frame, sim::SimTime start, Radio& origin,
-                         bool skip_if_busy) = 0;
-};
-
 struct RadioConfig {
   Mhz channel{2460.0};
   Dbm sensitivity{-94.0};   ///< minimum effective RSS to lock onto a frame
@@ -107,18 +87,11 @@ class Radio final : public MediumListener {
   /// in-progress reception is abandoned (TX takes over, as on hardware).
   void transmit(const Frame& frame);
 
-  /// Commit `frame` to the air `lead` from now, snapshotting the
-  /// transmitter's position into frame.src_pos. Serial path: schedules
-  /// transmit() and returns the cancellable event id. With a TxRouter
-  /// attached the commitment is announced to it instead and kInvalidEventId
-  /// is returned — a routed commitment is irrevocable, which is precisely
-  /// what gives the region executor its conservative lookahead.
-  /// `skip_if_busy` silently drops the frame if the radio is transmitting at
-  /// fire time (control frames yield to an ongoing TX).
+  /// Put `frame` on the air `lead` from now: schedules transmit() and
+  /// returns the cancellable event id. `skip_if_busy` silently drops the
+  /// frame if the radio is transmitting at fire time (control frames yield
+  /// to an ongoing TX).
   sim::EventId schedule_tx(sim::SimTime lead, Frame frame, bool skip_if_busy = false);
-
-  /// Attach a region router (nullptr detaches). Not owned.
-  void set_tx_router(TxRouter* router) { router_ = router; }
 
   /// Abandon an in-progress reception, if any.
   void abort_rx();
@@ -158,7 +131,6 @@ class Radio final : public MediumListener {
   NodeId self_;
   RadioConfig config_;
   RadioListener* listener_ = nullptr;
-  TxRouter* router_ = nullptr;
   State state_ = State::kIdle;
   std::optional<RxContext> rx_;
 

@@ -65,7 +65,10 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
     out.spec_hash = hash->string;
   if (const exp::JsonValue* point = root.find("point");
       point != nullptr && point->type == exp::JsonValue::Type::kNumber) {
-    out.point = static_cast<int>(point->number);
+    if (!exp::json_int(point, out.point)) {
+      error = "\"point\" must be an integer";
+      return false;
+    }
     out.has_point = true;
   }
   return true;
@@ -156,7 +159,6 @@ std::string lease_line(const LeaseRequest& lease) {
   out += ",\"first\":" + std::to_string(lease.first);
   out += ",\"count\":" + std::to_string(lease.count);
   out += ",\"jobs\":" + std::to_string(lease.jobs);
-  out += ",\"trial_workers\":" + std::to_string(lease.trial_workers);
   out += '}';
   return out;
 }
@@ -172,25 +174,21 @@ bool parse_lease(const std::string& line, LeaseRequest& out, std::string& error)
     error = "not a lease line";
     return false;
   }
+  out = LeaseRequest{};
   const exp::JsonValue* spec = root.find("spec");
-  const exp::JsonValue* first = root.find("first");
-  const exp::JsonValue* count = root.find("count");
   if (spec == nullptr || spec->type != exp::JsonValue::Type::kString ||
-      first == nullptr || first->type != exp::JsonValue::Type::kNumber ||
-      count == nullptr || count->type != exp::JsonValue::Type::kNumber) {
+      !exp::json_int(root.find("first"), out.first) ||
+      !exp::json_int(root.find("count"), out.count)) {
     error = "lease needs \"spec\", \"first\", and \"count\"";
     return false;
   }
-  out = LeaseRequest{};
   out.spec = spec->string;
-  out.first = static_cast<int>(first->number);
-  out.count = static_cast<int>(count->number);
   if (const exp::JsonValue* jobs = root.find("jobs");
-      jobs != nullptr && jobs->type == exp::JsonValue::Type::kNumber)
-    out.jobs = static_cast<int>(jobs->number);
-  if (const exp::JsonValue* trial_workers = root.find("trial_workers");
-      trial_workers != nullptr && trial_workers->type == exp::JsonValue::Type::kNumber)
-    out.trial_workers = static_cast<int>(trial_workers->number);
+      jobs != nullptr && jobs->type == exp::JsonValue::Type::kNumber &&
+      !exp::json_int(jobs, out.jobs)) {
+    error = "lease \"jobs\" must be an integer";
+    return false;
+  }
   return true;
 }
 
@@ -221,28 +219,22 @@ bool parse_worker_reply(const std::string& line, WorkerReply& out, std::string& 
   out = WorkerReply{};
   if (const exp::JsonValue* done = root.find("done");
       done != nullptr && done->type == exp::JsonValue::Type::kBool && done->boolean) {
-    const exp::JsonValue* first = root.find("first");
-    const exp::JsonValue* count = root.find("count");
-    if (first == nullptr || first->type != exp::JsonValue::Type::kNumber ||
-        count == nullptr || count->type != exp::JsonValue::Type::kNumber) {
+    if (!exp::json_int(root.find("first"), out.first) ||
+        !exp::json_int(root.find("count"), out.count)) {
       error = "done line needs \"first\" and \"count\"";
       return false;
     }
     out.done = true;
-    out.first = static_cast<int>(first->number);
-    out.count = static_cast<int>(count->number);
     return true;
   }
-  const exp::JsonValue* point = root.find("point");
   const exp::JsonValue* wall_ms = root.find("wall_ms");
   const exp::JsonValue* record = root.find("record");
-  if (point == nullptr || point->type != exp::JsonValue::Type::kNumber ||
+  if (!exp::json_int(root.find("point"), out.point) ||
       wall_ms == nullptr || wall_ms->type != exp::JsonValue::Type::kNumber ||
       record == nullptr || record->type != exp::JsonValue::Type::kString) {
     error = "worker line needs \"point\", \"wall_ms\", and \"record\"";
     return false;
   }
-  out.point = static_cast<int>(point->number);
   out.wall_ms = wall_ms->number;
   out.record = record->string;
   return true;

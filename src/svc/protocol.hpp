@@ -122,7 +122,7 @@ bool parse_reply(const std::string& line, exp::JsonValue& out, std::string& erro
 // instead of a socket. One lease per line on stdin:
 //
 //   {"op":"lease","spec":<canonical spec text>,"first":F,"count":C,
-//    "jobs":J,"trial_workers":W}
+//    "jobs":J}
 //
 // The worker answers with one line per completed point, in point order,
 // followed by a done line echoing the range:
@@ -142,7 +142,6 @@ struct LeaseRequest {
   int first = 0;     ///< first grid point index of the range
   int count = 0;     ///< number of consecutive points
   int jobs = 1;      ///< trial threads inside the worker
-  int trial_workers = 1;
 };
 [[nodiscard]] std::string lease_line(const LeaseRequest& lease);
 bool parse_lease(const std::string& line, LeaseRequest& out, std::string& error);

@@ -308,7 +308,6 @@ void Server::handle_submit(Session& session, const Request& request) {
     exp::CampaignOptions options;
     options.jobs = config_.jobs;
     options.point_jobs = config_.point_jobs;
-    options.trial_workers = config_.trial_workers;
     options.mode = exp::CampaignOptions::Mode::kResume;
     options.quiet = config_.quiet;
     exp::CampaignStats stats;
@@ -409,7 +408,6 @@ void Server::assign_leases() {
     lease.first = first;
     lease.count = count;
     lease.jobs = config_.jobs;
-    lease.trial_workers = config_.trial_workers;
     if (!pool_.send_lease(slot, lease)) fault_worker(slot, "lease write failed");
   }
 }

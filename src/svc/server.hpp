@@ -45,7 +45,6 @@ struct ServerConfig {
   std::string data_dir;     ///< campaign stores + sidecars live here
   int jobs = 1;             ///< trial threads per point (exp::CampaignOptions)
   int point_jobs = 1;       ///< concurrent sweep points (synchronous path)
-  int trial_workers = 1;    ///< region-sharded workers inside each trial
   std::size_t max_line = kMaxLine;
   bool quiet = true;  ///< suppress run_campaign progress lines
   /// Worker processes a submitted campaign is sharded across. 0 keeps the

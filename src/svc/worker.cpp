@@ -49,7 +49,6 @@ int run_worker(std::FILE* in, std::FILE* out) {
     }
     exp::RangeOptions options;
     options.jobs = lease.jobs;
-    options.trial_workers = lease.trial_workers;
     bool io_ok = true;
     const bool ran = exp::run_point_range(
         spec, lease.first, lease.count, options,

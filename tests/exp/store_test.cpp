@@ -105,6 +105,13 @@ TEST(Store, ParseRecordRejectsWrongVersion) {
   EXPECT_FALSE(parse_record(R"({"v":99,"campaign":"c","spec_hash":"x","point":0})", record,
                             error));
   EXPECT_NE(error.find("version"), std::string::npos);
+  // A version must be an exact int: 1.9 and 1.5 are not version 1.
+  for (const char* version : {"1.9", "1.5"}) {
+    const std::string line =
+        std::string{R"({"v":)"} + version + R"(,"campaign":"c","spec_hash":"x","point":0})";
+    EXPECT_FALSE(parse_record(line, record, error)) << line;
+    EXPECT_NE(error.find("version"), std::string::npos) << line;
+  }
 }
 
 TEST(Store, ParseRecordRejectsMissingFields) {
@@ -112,6 +119,14 @@ TEST(Store, ParseRecordRejectsMissingFields) {
   std::string error;
   EXPECT_FALSE(parse_record(R"({"v":1,"point":0})", record, error));
   EXPECT_FALSE(parse_record("not json", record, error));
+  // A complete record whose point is not an exact int.
+  for (const char* point : {"2.5", "1e300", "-1e300"}) {
+    std::string line{kRecordA};
+    const std::string valid = R"("point":0,)";
+    line.replace(line.find(valid), valid.size(), std::string{R"("point":)"} + point + ",");
+    EXPECT_FALSE(parse_record(line, record, error)) << line;
+    EXPECT_NE(error.find("point"), std::string::npos) << line;
+  }
 }
 
 // -- Store scanning --------------------------------------------------------

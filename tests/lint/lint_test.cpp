@@ -142,11 +142,13 @@ TEST(LintRules, DetRawThreadFiresAndSuppresses) {
 }
 
 TEST(LintRules, DetRawThreadExemptInRunners) {
+  // Only the runner is exempt, not the rest of src/sim.
   for (const char* path : {"src/sim/parallel.cpp", "src/sim/region_executor.cpp"}) {
+    const bool exempt = std::string{path} == "src/sim/parallel.cpp";
     const SourceFile file = scan_source(path, "std::thread t{[] {}};\n");
     std::vector<Diagnostic> diagnostics;
     run_cpp_rules(file, diagnostics);
-    EXPECT_TRUE(diagnostics.empty()) << path;
+    EXPECT_EQ(diagnostics.empty(), exempt) << path;
   }
 }
 

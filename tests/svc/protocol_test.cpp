@@ -82,6 +82,12 @@ TEST(ProtocolRequest, RejectsMalformedLines) {
   EXPECT_FALSE(parse_request(R"({"spec":"x"})", request, error));
   EXPECT_NE(error.find("op"), std::string::npos);
   EXPECT_FALSE(parse_request(R"({"op":7})", request, error));
+  // A point must be an exact int: no truncation, no out-of-range cast.
+  for (const char* point : {"2.5", "1e300", "-1e300"}) {
+    const std::string line =
+        std::string{R"({"op":"query","spec_hash":"00aa","point":)"} + point + "}";
+    EXPECT_FALSE(parse_request(line, request, error)) << line;
+  }
 }
 
 TEST(ProtocolReplies, RoundTripThroughJsonParser) {
@@ -172,7 +178,6 @@ TEST(WorkerProtocol, LeaseLineRoundTrips) {
   lease.first = 3;
   lease.count = 2;
   lease.jobs = 4;
-  lease.trial_workers = 2;
   LeaseRequest parsed;
   std::string error;
   ASSERT_TRUE(parse_lease(lease_line(lease), parsed, error)) << error;
@@ -180,16 +185,23 @@ TEST(WorkerProtocol, LeaseLineRoundTrips) {
   EXPECT_EQ(parsed.first, 3);
   EXPECT_EQ(parsed.count, 2);
   EXPECT_EQ(parsed.jobs, 4);
-  EXPECT_EQ(parsed.trial_workers, 2);
 
-  // jobs/trial_workers are optional and default to 1.
+  // jobs is optional and defaults to 1.
   ASSERT_TRUE(parse_lease(R"({"op":"lease","spec":"s","first":0,"count":1})", parsed, error));
   EXPECT_EQ(parsed.jobs, 1);
-  EXPECT_EQ(parsed.trial_workers, 1);
 
   EXPECT_FALSE(parse_lease(R"({"op":"submit","spec":"s"})", parsed, error));
   EXPECT_FALSE(parse_lease(R"({"op":"lease","spec":"s","first":0})", parsed, error));
   EXPECT_FALSE(parse_lease("not json", parsed, error));
+  for (const char* number : {"2.5", "1e300", "-1e300"}) {
+    const std::string n{number};
+    for (const std::string& line :
+         {R"({"op":"lease","spec":"s","first":)" + n + R"(,"count":1})",
+          R"({"op":"lease","spec":"s","first":0,"count":)" + n + "}",
+          R"({"op":"lease","spec":"s","first":0,"count":1,"jobs":)" + n + "}"}) {
+      EXPECT_FALSE(parse_lease(line, parsed, error)) << line;
+    }
+  }
 }
 
 TEST(WorkerProtocol, WorkerLinesRoundTrip) {
@@ -212,6 +224,15 @@ TEST(WorkerProtocol, WorkerLinesRoundTrip) {
   EXPECT_FALSE(parse_worker_reply(R"({"done":true})", parsed, error));
   EXPECT_FALSE(parse_worker_reply(R"({"point":1})", parsed, error));
   EXPECT_FALSE(parse_worker_reply("[1,2]", parsed, error));
+  // Indices must be exact ints: no truncation, no out-of-range cast.
+  for (const char* number : {"2.5", "1e300", "-1e300"}) {
+    const std::string n{number};
+    for (const std::string& line : {R"({"point":)" + n + R"(,"wall_ms":1,"record":"r"})",
+                                    R"({"done":true,"first":)" + n + R"(,"count":1})",
+                                    R"({"done":true,"first":0,"count":)" + n + "}"}) {
+      EXPECT_FALSE(parse_worker_reply(line, parsed, error)) << line;
+    }
+  }
 }
 
 }  // namespace

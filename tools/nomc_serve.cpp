@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
                   "directory for campaign stores and sidecars (created if missing)");
   args.add_int("jobs", 1, "trial threads per point (0 = all hardware threads)");
   args.add_int("point-jobs", 1, "sweep points computed concurrently (0 = all)");
-  args.add_int("trial-workers", 1, "worker threads inside each trial (0 = all)");
   args.add_int("workers", 0,
                "worker processes a campaign is sharded across (0 = simulate on "
                "the server thread)");
@@ -72,7 +71,6 @@ int main(int argc, char** argv) {
   config.data_dir = args.get_string("data-dir");
   config.jobs = args.get_int("jobs");
   config.point_jobs = args.get_int("point-jobs");
-  config.trial_workers = args.get_int("trial-workers");
   config.quiet = args.get_flag("quiet");
   config.workers = args.get_int("workers");
   config.lease_points = args.get_int("lease-points");

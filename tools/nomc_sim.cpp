@@ -65,13 +65,6 @@ int run(const cli::ArgParser& args) {
     std::fprintf(stderr, "--trace requires --trials 1\n");
     return 1;
   }
-  // The trace attaches to the serial path's single scheduler; a sharded
-  // trial has one scheduler per region, so the two options are exclusive.
-  const int trial_workers = args.get_int("trial-workers");
-  if (args.provided("trace") && trial_workers != 1) {
-    std::fprintf(stderr, "--trace requires --trial-workers 1\n");
-    return 1;
-  }
   if (args.provided("trace")) {
     trace = std::make_unique<sim::CsvTraceSink>(args.get_string("trace"));
   }
@@ -81,8 +74,7 @@ int run(const cli::ArgParser& args) {
       params, runner,
       [&](int trial, net::Scenario& scenario) {
         if (trace && trial == 0) scenario.scheduler().set_trace(trace.get());
-      },
-      trial_workers);
+      });
 
   std::printf("scheme=%s topology=%s channels=%d cfd=%.1fMHz seed=%llu trials=%d jobs=%d\n\n",
               params.scheme.c_str(), params.topology.c_str(), params.channels,
@@ -127,9 +119,6 @@ int main(int argc, char** argv) {
   args.add_int("seed", 1, "random seed (placement, fading, backoff)");
   args.add_int("trials", 1, "independent random deployments averaged (seed + i*1000003)");
   args.add_int("jobs", 1, "worker threads for trials (0 = all hardware threads)");
-  args.add_int("trial-workers", 1,
-               "worker threads inside each trial, region-sharded (0 = all; "
-               "bit-identical results at any value)");
   args.add_string("trace", "", "write a CSV event trace to this path (needs --trials 1)");
 
   if (const auto exit_code = cli::parse_standard(args, argc, argv, argv[0])) {
