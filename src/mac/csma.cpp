@@ -48,7 +48,7 @@ void CsmaMac::send_control(phy::Frame frame) {
   frame.src = radio_.node();
   frame.channel = radio_.channel();
   frame.tx_power = tx_power_;
-  radio_.schedule_tx(params_.turnaround, frame, /*skip_if_busy=*/true);
+  radio_.schedule_tx(params_.turnaround, frame);
 }
 
 void CsmaMac::set_saturated(TxRequest request) {
@@ -106,33 +106,20 @@ void CsmaMac::do_cca() {
                                    params_.carrier_sense_sensitivity);
   }
   if (busy) {
-    ++counters_.cca_backoffs;
-    if (scheduler_.trace() != nullptr) {
-      scheduler_.trace_event({.category = "mac", .event = "cca_busy", .node = radio_.node(),
-                              .value = radio_.sense_energy().value});
-    }
-    ++nb_;
-    if (nb_ > params_.max_backoffs) {
-      // Channel access failure.
-      ++counters_.cca_failures;
-      scheduler_.trace_event(
-          {.category = "mac", .event = "access_failure", .node = radio_.node()});
-      if (access_retries_ < params_.access_failure_retries) {
-        ++access_retries_;
-        start_attempt();  // upper-layer retry: fresh BE/NB
-        return;
-      }
-      finish_current();
-      return;
-    }
-    be_ = std::min(be_ + 1, params_.max_be);
-    backoff_then_cca();
+    back_off_busy();
     return;
   }
 
   // CCA is clear: the transmission is committed. The frame is built (and its
   // id allocated) here, at the commit instant; the radio fires exactly one
   // turnaround later.
+  //
+  // Half-duplex policy: an ACK (send_control) may be keyed inside that
+  // turnaround and still be on the air when it expires. The radio cannot
+  // send both, so a committed data frame that finds its own radio in TX
+  // counts as a busy channel: it is dropped and the attempt backs off
+  // exactly as after a busy CCA (NB/BE advance, access failure at the
+  // limit). The ACK, which the peer is waiting for, keeps the air.
   phy::Frame frame;
   frame.id = medium_.allocate_frame_id();
   frame.src = radio_.node();
@@ -144,8 +131,39 @@ void CsmaMac::do_cca() {
   frame.ack_request = current_->ack_request;
   frame.repair_round = current_->repair_round;
   frame.aux = current_->aux;
-  pending_event_ = radio_.schedule_tx(params_.turnaround, frame);
-  // Completion continues in on_tx_done().
+  pending_event_ = scheduler_.schedule_in(params_.turnaround, [this, frame] {
+    pending_event_ = sim::kInvalidEventId;
+    if (radio_.state() == phy::Radio::State::kTx) {
+      back_off_busy();
+      return;
+    }
+    radio_.transmit(frame);
+    // Completion continues in on_tx_done().
+  });
+}
+
+void CsmaMac::back_off_busy() {
+  ++counters_.cca_backoffs;
+  if (scheduler_.trace() != nullptr) {
+    scheduler_.trace_event({.category = "mac", .event = "cca_busy", .node = radio_.node(),
+                            .value = radio_.sense_energy().value});
+  }
+  ++nb_;
+  if (nb_ > params_.max_backoffs) {
+    // Channel access failure.
+    ++counters_.cca_failures;
+    scheduler_.trace_event(
+        {.category = "mac", .event = "access_failure", .node = radio_.node()});
+    if (access_retries_ < params_.access_failure_retries) {
+      ++access_retries_;
+      start_attempt();  // upper-layer retry: fresh BE/NB
+      return;
+    }
+    finish_current();
+    return;
+  }
+  be_ = std::min(be_ + 1, params_.max_be);
+  backoff_then_cca();
 }
 
 void CsmaMac::send_ack(const phy::Frame& data_frame) {

@@ -146,6 +146,9 @@ class CsmaMac final : public phy::RadioListener {
   void start_attempt();
   void backoff_then_cca();
   void do_cca();
+  /// The channel (or the radio itself) is busy: advance NB/BE and back off,
+  /// or declare a channel access failure at the limit.
+  void back_off_busy();
   void finish_current();
   void on_ack_timeout();
   void send_ack(const phy::Frame& data_frame);

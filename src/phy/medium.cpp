@@ -37,11 +37,15 @@ void Medium::set_position(NodeId node, Vec2 position) {
   // node's own map is dropped outright (capacity retained).
   ++epochs_[index];
   loss_cache_[index].clear();
-  // Re-bucket the mover's in-flight frames so the spatial index keeps
-  // answering from current positions.
   for (std::size_t i = 0; i < frame_slots_.size(); ++i) {
     ActiveFrame& af = frame_slots_[i];
-    if (!af.live || af.frame.src != node) continue;
+    if (!af.live) continue;
+    // Every in-flight frame's RSS at the mover may have changed (and all of
+    // the mover's own frames' RSS): drop the memos, O(1) each.
+    af.rx_power.clear();
+    // Re-bucket the mover's in-flight frames so the spatial index keeps
+    // answering from current positions.
+    if (af.frame.src != node) continue;
     if (config_.culling.enabled) {
       grid_.remove(static_cast<std::uint32_t>(i), af.src_pos);
       grid_.insert(static_cast<std::uint32_t>(i), position);
@@ -53,38 +57,40 @@ void Medium::set_position(NodeId node, Vec2 position) {
 double Medium::cached_loss_db(NodeId a, NodeId b) const {
   const std::size_t ai = local_index(a);
   const std::size_t bi = local_index(b);
-  NodeValueMap::Entry& entry = loss_cache_[ai].find_or_insert(b);
-  if (entry.key != b || entry.epoch != epochs_[bi]) {
-    entry.key = b;
-    entry.epoch = epochs_[bi];
-    entry.value = config_.path_loss.loss(distance(positions_[ai], positions_[bi])).value;
+  const auto [entry, inserted] = loss_cache_[ai].try_emplace(b);
+  if (inserted || entry->epoch != epochs_[bi]) {
+    entry->epoch = epochs_[bi];
+    entry->loss_db = config_.path_loss.loss(distance(positions_[ai], positions_[bi])).value;
   }
 #ifndef NDEBUG
   // Debug cross-check: a served cache hit must equal a fresh computation —
   // i.e. no stale entry survives motion invalidation. (Release builds skip
   // this; it turns every hit into a recompute.)
-  assert(entry.value == config_.path_loss.loss(distance(positions_[ai], positions_[bi])).value &&
+  assert(entry->loss_db == config_.path_loss.loss(distance(positions_[ai], positions_[bi])).value &&
          "stale path-loss cache entry served after node motion");
 #endif
-  return entry.value;
+  return entry->loss_db;
 }
 
-double Medium::cached_shadow_db(FrameId frame, NodeId rx) const {
-  auto it = shadow_cache_.find(frame);
-  if (it == shadow_cache_.end()) {
-    NodeValueMap map;
-    if (!spare_maps_.empty()) {
-      map = std::move(spare_maps_.back());
-      spare_maps_.pop_back();
-    }
-    it = shadow_cache_.emplace(frame, std::move(map)).first;
+double Medium::fresh_rss_dbm(const Frame& frame, NodeId rx) const {
+  const double loss = cached_loss_db(frame.src, rx);
+  if (shadowing_.sigma_db() <= 0.0) {
+    return (frame.tx_power - Db{loss}).value;
   }
-  NodeValueMap::Entry& entry = it->second.find_or_insert(rx);
-  if (entry.key != rx) {
-    entry.key = rx;
-    entry.value = shadowing_.sample(frame, rx).value;
-  }
-  return entry.value;
+  return (frame.tx_power - Db{loss} + shadowing_.sample(frame.id, rx)).value;
+}
+
+Medium::RxPower& Medium::rx_power(const ActiveFrame& af, NodeId rx) const {
+  const auto [power, inserted] = af.rx_power.try_emplace(rx);
+  if (inserted) power->rss_dbm = fresh_rss_dbm(af.frame, rx);
+#ifndef NDEBUG
+  // Debug cross-check: a served memo hit must equal a fresh computation
+  // (fresh_rss_dbm's loss lookup is itself cross-checked) — i.e. no entry
+  // survives end_tx or motion invalidation.
+  assert(power->rss_dbm == fresh_rss_dbm(af.frame, rx) &&
+         "stale received-power memo served after end_tx or node motion");
+#endif
+  return *power;
 }
 
 void Medium::add_listener(MediumListener* listener, NodeId node) {
@@ -164,27 +170,22 @@ void Medium::end_tx(FrameId id) {
   ActiveFrame& af = frame_slots_[slot];
   if (config_.culling.enabled) grid_.remove(slot, af.src_pos);
   af.live = false;
+  af.rx_power.clear();
   free_frame_slots_.push_back(slot);
   slot_of_.erase(it);
   --active_count_;
   if (active_count_ == 0) max_active_radius_ = 0.0;
-  // Recycle the memoized draws — purely a size bound: a late query about
-  // this frame (e.g. the receiver finalizing the reception) recomputes the
-  // identical values from the (seed, frame, node) hash.
-  const auto shadow = shadow_cache_.find(id);
-  if (shadow != shadow_cache_.end()) {
-    shadow->second.clear();
-    spare_maps_.push_back(std::move(shadow->second));
-    shadow_cache_.erase(shadow);
-  }
 }
 
 Dbm Medium::rss(const Frame& frame, NodeId rx) const {
-  const double loss = cached_loss_db(frame.src, rx);
-  if (shadowing_.sigma_db() <= 0.0) {
-    return frame.tx_power - Db{loss};
-  }
-  return frame.tx_power - Db{loss} + Db{cached_shadow_db(frame.id, rx)};
+  // On the air: serve the memo. Otherwise (a listener's on_tx_start runs
+  // before insertion; a receiver may ask after end_tx) compute fresh — the
+  // same expression, so the answer does not depend on when it is asked.
+  const auto it = slot_of_.find(frame.id);
+  if (it == slot_of_.end()) return Dbm{fresh_rss_dbm(frame, rx)};
+  const ActiveFrame& af = frame_slots_[it->second];
+  assert(af.frame.src == frame.src && af.frame.tx_power == frame.tx_power);
+  return Dbm{rx_power(af, rx).rss_dbm};
 }
 
 Db Medium::leak_attenuation(const Frame& f, Mhz delta, const ChannelRejection& rejection) {
@@ -220,28 +221,40 @@ void Medium::gather(NodeId node, bool ordered, bool force_exhaustive) const {
   if (ordered) std::sort(scratch_.begin(), scratch_.end());
 }
 
-MilliWatts Medium::accumulate(NodeId node, Mhz channel, FrameId exclude,
-                              const ChannelRejection& rejection) const {
+MilliWatts Medium::accumulate(NodeId node, Mhz channel, FrameId exclude, Curve curve) const {
+  const ChannelRejection& rejection =
+      curve == kSensing ? config_.sensing_rejection : config_.rejection;
   gather(node, /*ordered=*/true);
   MilliWatts total = to_milliwatts(config_.noise_floor);
   for (const auto& candidate : scratch_) {
-    const Frame& f = frame_slots_[candidate.second].frame;
+    const ActiveFrame& af = frame_slots_[candidate.second];
+    const Frame& f = af.frame;
     if (f.id == exclude) continue;
     if (f.src == node) continue;  // a node never senses its own signal
-    const Mhz delta = frequency_distance(f.channel, channel);
-    total += to_milliwatts(rss(f, node) - leak_attenuation(f, delta, rejection));
+    RxPower& power = rx_power(af, node);
+    const auto fresh_term_mw = [&] {
+      const Mhz delta = frequency_distance(f.channel, channel);
+      return to_milliwatts(Dbm{power.rss_dbm} - leak_attenuation(f, delta, rejection)).value;
+    };
+    RxPower::Term& term = power.terms[curve];
+    if (term.channel_mhz != channel.value) {
+      term.channel_mhz = channel.value;
+      term.mw = fresh_term_mw();
+    }
+    assert(term.mw == fresh_term_mw() && "attenuated-power memo served for the wrong channel");
+    total += MilliWatts{term.mw};
   }
   return total;
 }
 
 Dbm Medium::sense_energy(NodeId node, Mhz channel) const {
   // CCA is an energy read: only the analog filter attenuates neighbours.
-  return to_dbm(accumulate(node, channel, /*exclude=*/0, config_.sensing_rejection));
+  return to_dbm(accumulate(node, channel, /*exclude=*/0, kSensing));
 }
 
 Dbm Medium::interference(NodeId rx, Mhz channel, FrameId exclude) const {
   // Decoding interference: filter + despreading gain both reject neighbours.
-  return to_dbm(accumulate(rx, channel, exclude, config_.rejection));
+  return to_dbm(accumulate(rx, channel, exclude, kDecode));
 }
 
 bool Medium::carrier_present(NodeId node, Mhz channel, Dbm sensitivity) const {
@@ -251,10 +264,10 @@ bool Medium::carrier_present(NodeId node, Mhz channel, Dbm sensitivity) const {
   const bool force_exhaustive = sensitivity.value < cull_floor_dbm();
   gather(node, /*ordered=*/false, force_exhaustive);
   for (const auto& candidate : scratch_) {
-    const Frame& f = frame_slots_[candidate.second].frame;
-    if (f.src == node) continue;
-    if (!same_channel(f.channel, channel)) continue;
-    if (rss(f, node) >= sensitivity) return true;
+    const ActiveFrame& af = frame_slots_[candidate.second];
+    if (af.frame.src == node) continue;
+    if (!same_channel(af.frame.channel, channel)) continue;
+    if (Dbm{rx_power(af, node).rss_dbm} >= sensitivity) return true;
   }
   return false;
 }
@@ -266,7 +279,8 @@ Medium::Overlap Medium::overlap(NodeId rx, Mhz channel, FrameId exclude) const {
   Overlap result;
   gather(rx, /*ordered=*/false);
   for (const auto& candidate : scratch_) {
-    const Frame& f = frame_slots_[candidate.second].frame;
+    const ActiveFrame& af = frame_slots_[candidate.second];
+    const Frame& f = af.frame;
     if (f.id == exclude || f.src == rx) continue;
     if (same_channel(f.channel, channel)) {
       result.co = true;
@@ -275,7 +289,7 @@ Medium::Overlap Medium::overlap(NodeId rx, Mhz channel, FrameId exclude) const {
       // floor; a transmission on the far side of the band is not a collision.
       const Mhz delta = frequency_distance(f.channel, channel);
       const Db rejection = leak_attenuation(f, delta, config_.rejection);
-      if (rss(f, rx) - rejection > config_.noise_floor) result.inter = true;
+      if (Dbm{rx_power(af, rx).rss_dbm} - rejection > config_.noise_floor) result.inter = true;
     }
   }
   return result;

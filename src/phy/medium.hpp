@@ -29,22 +29,31 @@
 //
 // Hot-path caching: rss() is a pure function of (frame, rx) — tx power minus
 // a position-determined path loss plus a hash-determined shadowing draw —
-// and it is queried once per relevant frame per CCA/SINR evaluation,
-// millions of times per run. The medium memoizes both pieces sparsely (a
-// node only ever asks about its radio neighbours):
+// and at paper scale every receiver integrates every concurrent frame on
+// every CCA read and SINR segment, millions of times per run. The medium
+// memoizes it sparsely (a node only ever asks about its radio neighbours):
 //   * pairwise path loss in per-node open-addressing maps whose entries
 //     snapshot the other endpoint's motion epoch — set_position invalidates
-//     every pair involving the moved node in O(1) by bumping its epoch, and
-//   * per-(frame id, rx) shadowing draws in pooled maps, recycled when the
-//     frame leaves the air (recomputation is bit-identical, so eviction is a
-//     pure perf event).
-// The caches make the const query methods write to mutable state; a Medium
-// is single-threaded like the Scenario that owns it (parallel replication
-// runs one Medium per thread — see sim/parallel.hpp).
+//     every pair involving the moved node in O(1) by bumping its epoch
+//     (the map amortises log10 across frames of the same pair), and
+//   * per in-flight frame, a map owned by its pool slot from receiver to the
+//     frame's RSS there and, per rejection curve (sensing, decode), the last
+//     queried channel with its attenuated mW term. accumulate() sums those
+//     terms in begin_tx order from the noise floor — the same expression in
+//     the same order as a fresh computation, so every query is bit-identical.
+//     end_tx drops the memo in O(1) (a generation stamp, see node_map.hpp);
+//     set_position drops every live frame's memo, O(active). A frame that
+//     is not on the air (before insertion, after end_tx) is computed fresh.
+// Debug builds cross-check every memo and cache hit against a fresh
+// computation. The caches make the const query methods write to mutable
+// state; a Medium is single-threaded like the Scenario that owns it
+// (parallel replication runs one Medium per thread — see sim/parallel.hpp).
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -172,6 +181,28 @@ class Medium {
   [[nodiscard]] bool culling_enabled() const { return config_.culling.enabled; }
 
  private:
+  /// The two rejection curves a query integrates through (RxPower::terms index).
+  enum Curve : std::size_t { kSensing = 0, kDecode = 1 };
+
+  /// One frame's received power at one receiver, memoized while the frame
+  /// is on the air.
+  struct RxPower {
+    /// A curve's last queried channel (NaN: none yet) and the frame's
+    /// attenuated term there, to_milliwatts(rss − leak_attenuation).
+    struct Term {
+      double channel_mhz = std::numeric_limits<double>::quiet_NaN();
+      double mw = 0.0;
+    };
+    double rss_dbm = 0.0;
+    Term terms[2];
+  };
+
+  /// Path loss to one peer, stamped with the peer's motion epoch.
+  struct PairLoss {
+    double loss_db = 0.0;
+    std::uint32_t epoch = 0;
+  };
+
   /// An in-flight frame, pool-allocated: slots are recycled through a free
   /// list so steady-state begin/end traffic does not allocate, and the grid
   /// can refer to frames by stable 32-bit slot index.
@@ -181,10 +212,12 @@ class Medium {
     std::uint64_t begin_seq = 0;  ///< global begin_tx order: fixes summation order
     double radius = 0.0;          ///< influence radius in metres
     bool live = false;
+    /// Receiver -> RxPower; cleared in O(1) when the frame leaves the air,
+    /// capacity recycled with the slot.
+    mutable NodeMap<RxPower> rx_power;
   };
 
-  [[nodiscard]] MilliWatts accumulate(NodeId node, Mhz channel, FrameId exclude,
-                                      const ChannelRejection& rejection) const;
+  [[nodiscard]] MilliWatts accumulate(NodeId node, Mhz channel, FrameId exclude, Curve curve) const;
   /// Deliver on_tx_start/on_tx_end for `frame` to every listener inside its
   /// influence disc (all listeners when culling is off).
   void notify_listeners(const Frame& frame, Vec2 src_pos, double radius, bool start);
@@ -197,8 +230,10 @@ class Medium {
                                            const ChannelRejection& rejection);
   /// Memoized PL(distance(a, b)); entries staled by either endpoint moving.
   [[nodiscard]] double cached_loss_db(NodeId a, NodeId b) const;
-  /// Memoized shadowing draw for (frame id, rx).
-  [[nodiscard]] double cached_shadow_db(FrameId frame, NodeId rx) const;
+  /// tx power − path loss + shadowing, from the loss cache and a fresh draw.
+  [[nodiscard]] double fresh_rss_dbm(const Frame& frame, NodeId rx) const;
+  /// The memo entry for the live frame in `af` at `rx`, RSS filled in.
+  [[nodiscard]] RxPower& rx_power(const ActiveFrame& af, NodeId rx) const;
 
   /// Dense storage index of a registered node.
   [[nodiscard]] std::size_t local_index(NodeId node) const {
@@ -247,11 +282,7 @@ class Medium {
   /// loss_cache_[a] maps b -> PL(a, b) stamped with b's epoch at compute
   /// time. A move bumps the mover's epoch and clears its own map: every
   /// stale pair then fails the epoch check on its next lookup.
-  mutable std::vector<NodeValueMap> loss_cache_;
-  /// Per-frame shadowing draws keyed by rx; map storage recycles through
-  /// spare_maps_ when frames leave the air.
-  mutable std::unordered_map<FrameId, NodeValueMap> shadow_cache_;
-  mutable std::vector<NodeValueMap> spare_maps_;
+  mutable std::vector<NodeMap<PairLoss>> loss_cache_;
   /// Query candidate buffer, reused across queries (single-threaded).
   mutable std::vector<std::pair<std::uint64_t, std::uint32_t>> scratch_;
 };

@@ -1,50 +1,48 @@
-// Small open-addressing map from node id to a cached double.
+// Small open-addressing map from node id to a cached value.
 //
-// The medium's hot-path memoization (pairwise path loss, per-frame shadowing
-// draws) used to live in dense per-node arrays — O(N) per frame and O(N^2)
-// overall, which is exactly what a city-scale node count cannot afford. With
-// spatial culling a node only ever asks about its ~tens of radio neighbours,
-// so the caches are sparse: this map stores just the pairs actually queried,
-// with open addressing and power-of-two sizing so a lookup is one or two
-// cache probes and never hashes through std::unordered_map machinery.
+// The medium's hot-path memoization (pairwise path loss, each in-flight
+// frame's received power per receiver) used to live in dense per-node
+// arrays — O(N) per frame and O(N^2) overall, which is exactly what a
+// city-scale node count cannot afford. With spatial culling a node only ever
+// asks about its ~tens of radio neighbours, so the caches are sparse: this
+// map stores just the keys actually queried, with open addressing and
+// power-of-two sizing so a lookup is one or two cache probes and never
+// hashes through std::unordered_map machinery.
 //
-// Each entry carries a caller-managed epoch tag. The loss cache uses it for
-// O(1) motion invalidation: entries snapshot the *other* node's epoch at
-// compute time, so bumping a node's epoch atomically stales every cached
-// pair involving it without walking anything (see Medium::set_position).
+// clear() is O(1): every entry is stamped with the map's generation when it
+// is written, and an entry from an older generation counts as empty. Within
+// one generation entries only ever turn from empty to live, so a linear probe
+// for a live key never crosses an empty slot, and a probe that reaches one
+// has proven the key absent. Capacity is kept across clears (the maps are
+// pooled with the medium's frame slots and nodes).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace nomc::phy {
 
-class NodeValueMap {
+template <typename Value>
+class NodeMap {
  public:
-  struct Entry {
-    std::uint32_t key = kEmpty;
-    std::uint32_t epoch = 0;
-    double value = 0.0;
-  };
-
-  /// Sentinel: no node id (they are dense, starting at 0) ever equals it.
-  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
-
-  /// Returns the entry for `key`, inserting an empty-keyed slot if absent.
-  /// The caller checks `entry.key != key` (or an epoch mismatch) to decide
-  /// whether the cached value must be (re)computed, then fills all fields.
-  [[nodiscard]] Entry& find_or_insert(std::uint32_t key) {
+  /// The value for `key` and whether it was just inserted. A new value is
+  /// value-initialized; the caller fills it. Pointers stay valid until the
+  /// next insertion.
+  [[nodiscard]] std::pair<Value*, bool> try_emplace(std::uint32_t key) {
     if (table_.empty()) grow();
     for (;;) {
       std::size_t i = index_of(key);
       for (;;) {
         Entry& e = table_[i];
-        if (e.key == key) return e;
-        if (e.key == kEmpty) {
+        if (e.stamp == generation_) {
+          if (e.key == key) return {&e.value, false};
+        } else {
           if (size_ * 10 >= table_.size() * 7) break;  // over load factor: grow
           ++size_;
-          return e;
+          e = Entry{key, generation_, Value{}};
+          return {&e.value, true};
         }
         i = (i + 1) & (table_.size() - 1);
       }
@@ -52,19 +50,24 @@ class NodeValueMap {
     }
   }
 
-  /// Drop every entry, keeping the allocated capacity (the maps are pooled).
+  /// Drop every entry in O(1), keeping the allocated capacity.
   void clear() {
-    for (Entry& e : table_) e = Entry{};
     size_ = 0;
+    if (++generation_ != 0) return;
+    // The stamp wrapped: wipe once so no ancient entry can alias.
+    for (Entry& e : table_) e.stamp = 0;
+    generation_ = 1;
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Iteration support for debug cross-checks (order is not deterministic;
-  /// never feed it into an output or a float accumulation).
-  [[nodiscard]] const std::vector<Entry>& raw_entries() const { return table_; }
-
  private:
+  struct Entry {
+    std::uint32_t key = 0;
+    std::uint32_t stamp = 0;  ///< generation the entry was written in; 0 = never
+    Value value{};
+  };
+
   [[nodiscard]] std::size_t index_of(std::uint32_t key) const {
     // Fibonacci hashing spreads the dense, sequential node ids.
     const std::uint64_t h = std::uint64_t{key} * 0x9e3779b97f4a7c15ULL;
@@ -74,18 +77,17 @@ class NodeValueMap {
   void grow() {
     std::vector<Entry> old = std::move(table_);
     table_.assign(old.empty() ? 16 : old.size() * 2, Entry{});
-    size_ = 0;
     for (const Entry& e : old) {
-      if (e.key == kEmpty) continue;
+      if (e.stamp != generation_) continue;
       std::size_t i = index_of(e.key);
-      while (table_[i].key != kEmpty) i = (i + 1) & (table_.size() - 1);
+      while (table_[i].stamp == generation_) i = (i + 1) & (table_.size() - 1);
       table_[i] = e;
-      ++size_;
     }
   }
 
   std::vector<Entry> table_;
   std::size_t size_ = 0;
+  std::uint32_t generation_ = 1;
 };
 
 }  // namespace nomc::phy

@@ -77,14 +77,11 @@ void Radio::transmit(const Frame& frame) {
   });
 }
 
-sim::EventId Radio::schedule_tx(sim::SimTime lead, Frame frame, bool skip_if_busy) {
-  if (skip_if_busy) {
-    return scheduler_.schedule_in(lead, [this, frame] {
-      if (state_ == State::kTx) return;
-      transmit(frame);
-    });
-  }
-  return scheduler_.schedule_in(lead, [this, frame] { transmit(frame); });
+sim::EventId Radio::schedule_tx(sim::SimTime lead, Frame frame) {
+  return scheduler_.schedule_in(lead, [this, frame] {
+    if (state_ == State::kTx) return;
+    transmit(frame);
+  });
 }
 
 void Radio::abort_rx() {

@@ -88,10 +88,10 @@ class Radio final : public MediumListener {
   void transmit(const Frame& frame);
 
   /// Put `frame` on the air `lead` from now: schedules transmit() and
-  /// returns the cancellable event id. `skip_if_busy` silently drops the
-  /// frame if the radio is transmitting at fire time (control frames yield
-  /// to an ongoing TX).
-  sim::EventId schedule_tx(sim::SimTime lead, Frame frame, bool skip_if_busy = false);
+  /// returns the cancellable event id. The frame is silently dropped if the
+  /// radio is transmitting at fire time (control frames yield to an ongoing
+  /// TX; data frames go through the MAC's own half-duplex check).
+  sim::EventId schedule_tx(sim::SimTime lead, Frame frame);
 
   /// Abandon an in-progress reception, if any.
   void abort_rx();

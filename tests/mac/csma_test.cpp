@@ -167,6 +167,33 @@ TEST_F(CsmaTest, TwoSaturatedSendersShareChannel) {
   EXPECT_LT(sender_b.counters().sent, 3 * sender_a->counters().sent);
 }
 
+TEST_F(CsmaTest, AckKeyedInsideTurnaroundBacksOffTheData) {
+  // Half-duplex policy: the sender passes CCA and commits a data frame, then
+  // an ACK it keyed just before the commit goes on the air 1 ns ahead of the
+  // data frame. The data frame must count as a busy channel and back off,
+  // not share the one radio with the ACK.
+  FixedCcaThreshold cca{kZigbeeDefaultCcaThreshold};
+  CsmaParams params;
+  params.min_be = 0;  // no random first backoff: the commit is at cca_duration
+  auto sender = make_sender(cca, params);
+  auto receiver = make_receiver(cca);
+
+  sender->enqueue(TxRequest{receiver_id_, 100});
+  scheduler_.schedule_at(params.cca_duration - sim::SimTime::nanoseconds(1), [&] {
+    phy::Frame ack;
+    ack.dst = receiver_id_;
+    ack.psdu_bytes = phy::kAckPsduBytes;
+    ack.type = phy::FrameType::kAck;
+    sender->send_control(ack);
+  });
+  scheduler_.run_all();
+
+  EXPECT_GE(sender->counters().cca_backoffs, 1u);
+  EXPECT_EQ(sender->counters().cca_failures, 0u);
+  EXPECT_EQ(sender->counters().sent, 1u);
+  EXPECT_EQ(receiver->counters().received, 1u);
+}
+
 TEST_F(CsmaTest, RxHookSeesAllFrames) {
   FixedCcaThreshold cca{kZigbeeDefaultCcaThreshold};
   auto sender = make_sender(cca);

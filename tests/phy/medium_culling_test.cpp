@@ -234,9 +234,10 @@ TEST(MediumCulling, MovingActiveTransmitterRebucketsItsFrames) {
   EXPECT_EQ(medium.sense_energy(sensor, kChannels[0]).value, medium.noise_floor().value);
 }
 
-TEST(MediumCulling, RssAgreesBeforeAndAfterShadowCacheEviction) {
-  // end_tx recycles the frame's shadowing map; a late query (the receiver
-  // finalizing its reception) must recompute the identical draw.
+TEST(MediumCulling, RssAgreesWhileOnAirAndAfterEndTx) {
+  // While the frame is on the air rss() serves the per-receiver memo; end_tx
+  // drops it, so a late query (the receiver finalizing its reception) must
+  // recompute the identical value.
   Medium medium{config_with(true)};
   const NodeId tx = medium.add_node({0.0, 0.0});
   const NodeId rx = medium.add_node({5.0, 0.0});

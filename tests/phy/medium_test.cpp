@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace nomc::phy {
@@ -208,6 +209,190 @@ TEST(Medium, ListenersSeePreMutationState) {
   medium.remove_listener(&listener);
   medium.begin_tx(make_frame(medium, tx, Mhz{2460.0}));
   EXPECT_EQ(listener.sizes_at_start.size(), 1u);  // no further callbacks
+}
+
+TEST(NodeMap, ClearEmptiesTheMapAndKeepsLookupsExact) {
+  // clear() only bumps a generation stamp; entries from the old generation
+  // must read as absent and be reusable without breaking probe chains.
+  NodeMap<double> map;
+  for (std::uint32_t key = 0; key < 100; ++key) {
+    const auto [value, inserted] = map.try_emplace(key);
+    ASSERT_TRUE(inserted);
+    *value = key;
+  }
+  map.clear();
+  EXPECT_EQ(map.size(), 0u);
+  for (std::uint32_t key = 50; key < 150; ++key) {
+    const auto [value, inserted] = map.try_emplace(key);
+    ASSERT_TRUE(inserted) << key;
+    EXPECT_EQ(*value, 0.0);  // value-initialized, not the stale entry's
+    *value = 1000.0 + key;
+  }
+  for (std::uint32_t key = 50; key < 150; ++key) {
+    const auto [value, inserted] = map.try_emplace(key);
+    ASSERT_FALSE(inserted) << key;
+    EXPECT_EQ(*value, 1000.0 + key);
+  }
+  EXPECT_EQ(map.size(), 100u);
+}
+
+// -- Received-power memo ---------------------------------------------------
+//
+// While a frame is on the air the medium memoizes its RSS and attenuated
+// power per receiver. Each test below compares a medium that has answered
+// earlier queries with a freshly built one given the same history (same
+// nodes, same frame ids, hence the same shadowing draws), with zero
+// tolerance: the memo may only make a query faster, never different.
+
+constexpr NodeId kRx = 0;
+constexpr Mhz kChannelA{2460.0};
+constexpr Mhz kChannelB{2463.0};
+
+MediumConfig shadowed_config() {
+  MediumConfig config;
+  config.shadowing_sigma_db = 2.5;
+  return config;
+}
+
+/// Registers a receiver (node 0, at `rx_at`) and two senders, then puts one
+/// frame on channel A and one on channel B on the air. With no `frames`
+/// given it allocates them on `medium`; pass the returned frames to replay
+/// the identical history on another medium.
+std::vector<Frame> stage(Medium& medium, std::vector<Frame> frames = {},
+                         Vec2 rx_at = {0.0, 0.0}) {
+  EXPECT_EQ(medium.add_node(rx_at), kRx);
+  const NodeId a = medium.add_node({2.0, 0.0});
+  const NodeId b = medium.add_node({0.0, 3.0});
+  if (frames.empty()) {
+    frames.push_back(make_frame(medium, a, kChannelA));
+    frames.push_back(make_frame(medium, b, kChannelB, Dbm{-3.0}));
+  }
+  for (const Frame& frame : frames) medium.begin_tx(frame);
+  return frames;
+}
+
+TEST(Medium, MemoKeysOnChannel) {
+  // A → B → A at one node: the second query must not reuse the first
+  // channel's attenuated terms, nor the third the second's.
+  Medium medium{shadowed_config()};
+  const std::vector<Frame> frames = stage(medium);
+  const double first_a = medium.sense_energy(kRx, kChannelA).value;
+  const double on_b = medium.sense_energy(kRx, kChannelB).value;
+  const double second_a = medium.sense_energy(kRx, kChannelA).value;
+
+  Medium fresh_a{shadowed_config()};
+  stage(fresh_a, frames);
+  Medium fresh_b{shadowed_config()};
+  stage(fresh_b, frames);
+  EXPECT_EQ(first_a, fresh_a.sense_energy(kRx, kChannelA).value);
+  EXPECT_EQ(on_b, fresh_b.sense_energy(kRx, kChannelB).value);
+  EXPECT_EQ(second_a, first_a);
+  EXPECT_NE(on_b, first_a);  // the channels really read differently
+}
+
+TEST(Medium, MemoKeepsCurvesApart) {
+  // The decode and sensing curves attenuate the adjacent-channel frame
+  // differently; a read through one must not answer for the other.
+  Medium medium{shadowed_config()};
+  const std::vector<Frame> frames = stage(medium);
+  const double decode = medium.interference(kRx, kChannelA, 0).value;
+  const double sensed = medium.sense_energy(kRx, kChannelA).value;
+
+  Medium fresh_sensed{shadowed_config()};
+  stage(fresh_sensed, frames);
+  Medium fresh_decode{shadowed_config()};
+  stage(fresh_decode, frames);
+  EXPECT_EQ(sensed, fresh_sensed.sense_energy(kRx, kChannelA).value);
+  EXPECT_EQ(decode, fresh_decode.interference(kRx, kChannelA, 0).value);
+  EXPECT_NE(decode, sensed);  // the curves really differ here
+}
+
+/// Records rss(frame, rx) as seen from the listener callbacks.
+class RssProbe : public MediumListener {
+ public:
+  RssProbe(Medium& medium, NodeId rx) : medium_{medium}, rx_{rx} {}
+  void on_tx_start(const Frame& frame) override { at_start = medium_.rss(frame, rx_).value; }
+  void on_tx_end(const Frame& frame) override { at_end = medium_.rss(frame, rx_).value; }
+  double at_start = 0.0;
+  double at_end = 0.0;
+
+ private:
+  Medium& medium_;
+  NodeId rx_;
+};
+
+TEST(Medium, RssAgreesBeforeInsertionInFlightAndAfterEndTx) {
+  // on_tx_start runs before the frame is on the air (computed fresh),
+  // in-flight and on_tx_end queries are served from the memo, and a query
+  // after end_tx is fresh again: all four must agree with a medium that
+  // never saw the frame.
+  Medium medium{shadowed_config()};
+  const std::vector<Frame> frames = stage(medium);
+  RssProbe probe{medium, kRx};
+  medium.add_listener(&probe, kRx);
+  const Frame frame = make_frame(medium, frames[0].src, kChannelA);
+  medium.begin_tx(frame);
+  (void)medium.sense_energy(kRx, kChannelA);  // warm the memo
+  const double in_flight = medium.rss(frame, kRx).value;
+  medium.end_tx(frame.id);
+  const double after = medium.rss(frame, kRx).value;
+  medium.remove_listener(&probe);
+
+  Medium fresh{shadowed_config()};
+  stage(fresh);
+  const double expected = fresh.rss(frame, kRx).value;
+  EXPECT_EQ(probe.at_start, expected);
+  EXPECT_EQ(in_flight, expected);
+  EXPECT_EQ(probe.at_end, expected);
+  EXPECT_EQ(after, expected);
+}
+
+TEST(Medium, RecycledFrameSlotStartsWithAnEmptyMemo) {
+  // end_tx frees the frame's pool slot and the next begin_tx reuses it: the
+  // new frame, from another sender, must not inherit the old one's memo.
+  Medium medium{shadowed_config()};
+  const std::vector<Frame> frames = stage(medium);
+  (void)medium.sense_energy(kRx, kChannelA);
+  (void)medium.interference(kRx, kChannelA, 0);
+  medium.end_tx(frames[1].id);
+  const Frame next = make_frame(medium, frames[0].src, kChannelB);
+  medium.begin_tx(next);
+
+  Medium fresh{shadowed_config()};
+  stage(fresh, {frames[0], next});
+  EXPECT_EQ(medium.sense_energy(kRx, kChannelA).value, fresh.sense_energy(kRx, kChannelA).value);
+  EXPECT_EQ(medium.interference(kRx, kChannelA, 0).value,
+            fresh.interference(kRx, kChannelA, 0).value);
+  EXPECT_EQ(medium.rss(next, kRx).value, fresh.rss(next, kRx).value);
+}
+
+TEST(Medium, ReceiverMotionInvalidatesInFlightMemo) {
+  // Warm every query at the receiver, move it while both frames are on the
+  // air, and require the answers of a medium built at the new position.
+  Medium medium{shadowed_config()};
+  const std::vector<Frame> frames = stage(medium);
+  for (const Mhz channel : {kChannelA, kChannelB}) {
+    (void)medium.sense_energy(kRx, channel);
+    (void)medium.interference(kRx, channel, frames[0].id);
+    (void)medium.overlap(kRx, channel, 0);
+  }
+  for (const Frame& frame : frames) (void)medium.rss(frame, kRx);
+  const Vec2 moved{25.0, 5.0};
+  medium.set_position(kRx, moved);
+
+  Medium fresh{shadowed_config()};
+  stage(fresh, frames, moved);
+  for (const Mhz channel : {kChannelA, kChannelB}) {
+    EXPECT_EQ(medium.sense_energy(kRx, channel).value, fresh.sense_energy(kRx, channel).value);
+    EXPECT_EQ(medium.interference(kRx, channel, frames[0].id).value,
+              fresh.interference(kRx, channel, frames[0].id).value);
+    EXPECT_EQ(medium.overlap(kRx, channel, 0).inter, fresh.overlap(kRx, channel, 0).inter);
+    EXPECT_EQ(medium.carrier_present(kRx, channel, Dbm{-60.0}),
+              fresh.carrier_present(kRx, channel, Dbm{-60.0}));
+  }
+  for (const Frame& frame : frames) {
+    EXPECT_EQ(medium.rss(frame, kRx).value, fresh.rss(frame, kRx).value);
+  }
 }
 
 }  // namespace
