@@ -29,7 +29,9 @@ int main() {
     std::printf("CFD = %.0f MHz (Fig. %d):\n", cfd, cfd == 2.0 ? 16 : 17);
     stats::TablePrinter table{{"network", "w/o scheme (pkt/s)", "with DCN (pkt/s)", "gain"}};
     for (std::size_t i = 0; i < channels.size(); ++i) {
-      table.add_row({"N" + std::to_string(i), bench::pps(without.per_network_pps[i]),
+      std::string network = "N";
+      network += std::to_string(i);
+      table.add_row({network, bench::pps(without.per_network_pps[i]),
                      bench::pps(with.per_network_pps[i]),
                      bench::pct(with.per_network_pps[i] / without.per_network_pps[i] - 1.0)});
     }

@@ -32,7 +32,9 @@ int main() {
   stats::TablePrinter detail{{"network", "ZigBee (pkt/s)", "DCN (pkt/s)"}};
   const std::size_t rows = std::max(zigbee.per_network_pps.size(), dcn.per_network_pps.size());
   for (std::size_t i = 0; i < rows; ++i) {
-    detail.add_row({"N" + std::to_string(i),
+    std::string network = "N";
+    network += std::to_string(i);
+    detail.add_row({network,
                     i < zigbee.per_network_pps.size() ? bench::pps(zigbee.per_network_pps[i]) : "-",
                     i < dcn.per_network_pps.size() ? bench::pps(dcn.per_network_pps[i]) : "-"});
   }

@@ -68,7 +68,9 @@ int main() {
   std::printf("\n18 MHz band, per network (N0..N6 across the band):\n");
   stats::TablePrinter detail{{"network", "w/o (pkt/s)", "with (pkt/s)", "gain"}};
   for (std::size_t i = 0; i < without.pps.size(); ++i) {
-    detail.add_row({"N" + std::to_string(i), bench::pps(without.pps[i]),
+    std::string network = "N";
+    network += std::to_string(i);
+    detail.add_row({network, bench::pps(without.pps[i]),
                     bench::pps(with.pps[i]),
                     bench::pct(with.pps[i] / without.pps[i] - 1.0)});
   }

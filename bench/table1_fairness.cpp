@@ -23,7 +23,9 @@ int main() {
 
   stats::TablePrinter table{{"network", "throughput (pkt/s)"}};
   for (std::size_t i = 0; i < result.per_network_pps.size(); ++i) {
-    table.add_row({"N" + std::to_string(i), bench::pps(result.per_network_pps[i])});
+    std::string network = "N";
+    network += std::to_string(i);
+    table.add_row({network, bench::pps(result.per_network_pps[i])});
   }
   table.print();
   std::printf("\nRelative spread: %.1f%% (paper: ~4%%)   Jain index: %.3f\n",

@@ -37,12 +37,15 @@ void Medium::set_position(NodeId node, Vec2 position) {
   // node's own map is dropped outright (capacity retained).
   ++epochs_[index];
   loss_cache_[index].clear();
+  // Every reception's summed terms may involve the mover.
+  ++motion_epoch_;
   for (std::size_t i = 0; i < frame_slots_.size(); ++i) {
     ActiveFrame& af = frame_slots_[i];
-    if (!af.live) continue;
-    // Every in-flight frame's RSS at the mover may have changed (and all of
-    // the mover's own frames' RSS): drop the memos, O(1) each.
+    // Every in-flight (or reserved) frame's RSS at the mover may have
+    // changed, and all of the mover's own frames' RSS: drop the memos, O(1)
+    // each (a free slot's memo is already empty).
     af.rx_power.clear();
+    if (!af.live) continue;
     // Re-bucket the mover's in-flight frames so the spatial index keeps
     // answering from current positions.
     if (af.frame.src != node) continue;
@@ -130,8 +133,8 @@ void Medium::begin_tx(const Frame& frame) {
   assert(slot_of_.find(frame.id) == slot_of_.end() && "frame id already on the air");
   const Vec2 src_pos = positions_[local_index(frame.src)];
   const double radius = influence_radius_m(frame.tx_power);
-  // Notify first: listeners observe the pre-change interference set.
-  notify_listeners(frame, src_pos, radius, /*start=*/true);
+  // Reserve the slot before notifying, so the rss() reads of on_tx_start
+  // fill the memo the later sums use. Not live yet: no query sees it.
   std::uint32_t slot;
   if (!free_frame_slots_.empty()) {
     slot = free_frame_slots_.back();
@@ -140,13 +143,21 @@ void Medium::begin_tx(const Frame& frame) {
     slot = static_cast<std::uint32_t>(frame_slots_.size());
     frame_slots_.emplace_back();
   }
-  ActiveFrame& af = frame_slots_[slot];
-  af.frame = frame;
-  af.src_pos = src_pos;
-  af.begin_seq = next_begin_seq_++;
-  af.radius = radius;
-  af.live = true;
+  {
+    ActiveFrame& af = frame_slots_[slot];
+    af.frame = frame;
+    af.src_pos = src_pos;
+    af.radius = radius;
+  }
   slot_of_.emplace(frame.id, slot);
+  // Notify first: listeners observe the pre-change interference set.
+  notify_listeners(frame, src_pos, radius, /*start=*/true);
+  // Re-index: a listener may have begun a transmission, growing frame_slots_.
+  ActiveFrame& af = frame_slots_[slot];
+  af.begin_seq = next_begin_seq_++;
+  af.live = true;
+  order_.push_back(slot);  // the largest begin_seq so far: order_ stays sorted
+  log_change(af, slot, /*inserted=*/true);
   if (config_.culling.enabled) {
     grid_.insert(slot, af.src_pos);
     max_active_radius_ = std::max(max_active_radius_, af.radius);
@@ -168,6 +179,19 @@ void Medium::end_tx(FrameId id) {
   assert(it != slot_of_.end());
   const std::uint32_t slot = it->second;
   ActiveFrame& af = frame_slots_[slot];
+  assert(af.live);
+  const auto pos = std::lower_bound(order_.begin(), order_.end(), af.begin_seq,
+                                    [this](std::uint32_t s, std::uint64_t seq) {
+                                      return frame_slots_[s].begin_seq < seq;
+                                    });
+  assert(pos != order_.end() && *pos == slot);
+  order_.erase(pos);
+  assert(std::is_sorted(order_.begin(), order_.end(),
+                        [this](std::uint32_t x, std::uint32_t y) {
+                          return frame_slots_[x].begin_seq < frame_slots_[y].begin_seq;
+                        }) &&
+         "live frames out of begin_tx order");
+  log_change(af, slot, /*inserted=*/false);
   if (config_.culling.enabled) grid_.remove(slot, af.src_pos);
   af.live = false;
   af.rx_power.clear();
@@ -178,9 +202,9 @@ void Medium::end_tx(FrameId id) {
 }
 
 Dbm Medium::rss(const Frame& frame, NodeId rx) const {
-  // On the air: serve the memo. Otherwise (a listener's on_tx_start runs
-  // before insertion; a receiver may ask after end_tx) compute fresh — the
-  // same expression, so the answer does not depend on when it is asked.
+  // Reserved or on the air: serve (and fill) the memo. Otherwise (a
+  // receiver may ask after end_tx) compute fresh — the same expression, so
+  // the answer does not depend on when it is asked.
   const auto it = slot_of_.find(frame.id);
   if (it == slot_of_.end()) return Dbm{fresh_rss_dbm(frame, rx)};
   const ActiveFrame& af = frame_slots_[it->second];
@@ -198,63 +222,123 @@ Db Medium::leak_attenuation(const Frame& f, Mhz delta, const ChannelRejection& r
   return attenuation;
 }
 
-void Medium::gather(NodeId node, bool ordered, bool force_exhaustive) const {
-  scratch_.clear();
-  if (config_.culling.enabled && !force_exhaustive) {
-    const Vec2 at = positions_[local_index(node)];
-    grid_.for_each_in_disc(at, max_active_radius_, [&](std::uint32_t slot) {
-      const ActiveFrame& af = frame_slots_[slot];
-      if (distance_sq(at, af.src_pos) <= af.radius * af.radius) {
-        scratch_.emplace_back(af.begin_seq, slot);
-      }
-    });
-  } else {
-    for (std::size_t i = 0; i < frame_slots_.size(); ++i) {
-      const ActiveFrame& af = frame_slots_[i];
-      if (af.live) scratch_.emplace_back(af.begin_seq, static_cast<std::uint32_t>(i));
-    }
+template <typename Fn>
+void Medium::for_each_candidate(NodeId node, bool ordered, bool force_exhaustive,
+                                Fn&& fn) const {
+  const Vec2 at = positions_[local_index(node)];
+  if (!config_.culling.enabled || force_exhaustive) {
+    for (const std::uint32_t slot : order_) fn(frame_slots_[slot]);
+    return;
   }
-  // begin_seq order == begin_tx order: the dense path accumulated frames in
-  // insertion order, and float addition is order-sensitive, so replaying
-  // that exact order keeps culled and exhaustive results bit-identical
-  // whenever they see the same candidate set.
+  scratch_.clear();
+  const bool pruned = grid_.for_each_in_disc(at, max_active_radius_, [&](std::uint32_t slot) {
+    const ActiveFrame& af = frame_slots_[slot];
+    if (covers(af, at)) scratch_.emplace_back(af.begin_seq, slot);
+  });
+  if (!pruned) {
+    // order_ is begin_tx order already: no sort.
+    for (const std::uint32_t slot : order_) {
+      const ActiveFrame& af = frame_slots_[slot];
+      if (covers(af, at)) fn(af);
+    }
+    return;
+  }
+  // begin_seq order == begin_tx order: float addition is order-sensitive,
+  // so replaying that exact order keeps culled and exhaustive results
+  // bit-identical whenever they see the same candidate set.
   if (ordered) std::sort(scratch_.begin(), scratch_.end());
+  for (const auto& candidate : scratch_) fn(frame_slots_[candidate.second]);
 }
 
-MilliWatts Medium::accumulate(NodeId node, Mhz channel, FrameId exclude, Curve curve) const {
-  const ChannelRejection& rejection =
-      curve == kSensing ? config_.sensing_rejection : config_.rejection;
-  gather(node, /*ordered=*/true);
-  MilliWatts total = to_milliwatts(config_.noise_floor);
-  for (const auto& candidate : scratch_) {
-    const ActiveFrame& af = frame_slots_[candidate.second];
-    const Frame& f = af.frame;
-    if (f.id == exclude) continue;
-    if (f.src == node) continue;  // a node never senses its own signal
-    RxPower& power = rx_power(af, node);
-    const auto fresh_term_mw = [&] {
-      const Mhz delta = frequency_distance(f.channel, channel);
-      return to_milliwatts(Dbm{power.rss_dbm} - leak_attenuation(f, delta, rejection)).value;
-    };
-    RxPower::Term& term = power.terms[curve];
-    if (term.channel_mhz != channel.value) {
-      term.channel_mhz = channel.value;
-      term.mw = fresh_term_mw();
-    }
-    assert(term.mw == fresh_term_mw() && "attenuated-power memo served for the wrong channel");
-    total += MilliWatts{term.mw};
+double Medium::term_mw(const ActiveFrame& af, NodeId node, Mhz channel, Curve curve) const {
+  const Frame& f = af.frame;
+  RxPower& power = rx_power(af, node);
+  const auto fresh_term_mw = [&] {
+    const ChannelRejection& rejection =
+        curve == kSensing ? config_.sensing_rejection : config_.rejection;
+    const Mhz delta = frequency_distance(f.channel, channel);
+    return to_milliwatts(Dbm{power.rss_dbm} - leak_attenuation(f, delta, rejection)).value;
+  };
+  RxPower::Term& term = power.terms[curve];
+  if (term.channel_mhz != channel.value) {
+    term.channel_mhz = channel.value;
+    term.mw = fresh_term_mw();
   }
+  assert(term.mw == fresh_term_mw() && "attenuated-power memo served for the wrong channel");
+  return term.mw;
+}
+
+std::size_t Medium::replay_changes(SumMemo& memo, NodeId node, Mhz channel, FrameId exclude,
+                                   Curve curve) const {
+  const Vec2 at = positions_[local_index(node)];
+  std::vector<SumMemo::Term>& terms = memo.terms_;
+  std::size_t stale = terms.size();
+  for (std::uint64_t n = memo.live_changes_; n < live_changes_; ++n) {
+    const LiveChange& change = live_log_[n % kLiveLog];
+    if (change.inserted) {
+      // Ended since (its slot may be reused): its removal follows in the log.
+      const ActiveFrame& af = frame_slots_[change.slot];
+      if (!af.live || af.begin_seq != change.begin_seq) continue;
+      if (af.frame.id == exclude || af.frame.src == node || !covers(af, at)) continue;
+      // The newest frame on the air: its term goes last.
+      stale = std::min(stale, terms.size());
+      terms.push_back({af.begin_seq, term_mw(af, node, channel, curve), 0.0});
+    } else {
+      const auto it = std::lower_bound(
+          terms.begin(), terms.end(), change.begin_seq,
+          [](const SumMemo::Term& t, std::uint64_t seq) { return t.begin_seq < seq; });
+      if (it == terms.end() || it->begin_seq != change.begin_seq) continue;  // never summed
+      stale = std::min(stale, static_cast<std::size_t>(it - terms.begin()));
+      terms.erase(it);
+    }
+  }
+  return stale;
+}
+
+MilliWatts Medium::accumulate(NodeId node, Mhz channel, FrameId exclude, Curve curve,
+                              SumMemo* memo) const {
+  SumMemo& m = memo != nullptr ? *memo : scratch_memo_;
+  const SumMemo::Key key{node, channel.value, exclude, curve, motion_epoch_};
+  std::vector<SumMemo::Term>& terms = m.terms_;
+  std::size_t stale = 0;
+  if (memo != nullptr && m.key_ == key && live_changes_ - m.live_changes_ <= kLiveLog) {
+    stale = replay_changes(m, node, channel, exclude, curve);
+  } else {
+    m.key_ = key;
+    terms.clear();
+    for_each_candidate(node, /*ordered=*/true, /*force_exhaustive=*/false,
+                       [&](const ActiveFrame& af) {
+                         if (af.frame.id == exclude) return;
+                         if (af.frame.src == node) return;  // a node never senses its own signal
+                         terms.push_back({af.begin_seq, term_mw(af, node, channel, curve), 0.0});
+                       });
+  }
+  m.live_changes_ = live_changes_;
+  // The one summation: from the noise floor, every term in begin_seq order.
+  // Running sums before `stale` already are exactly that prefix.
+  MilliWatts total = stale == 0 ? to_milliwatts(config_.noise_floor)
+                                : MilliWatts{terms[stale - 1].sum};
+  for (std::size_t i = stale; i < terms.size(); ++i) {
+    total += MilliWatts{terms[i].mw};
+    terms[i].sum = total.value;
+  }
+  // Debug cross-check: the memo-assisted sum must equal a memo-less one
+  // bit for bit — i.e. the replay kept exactly the terms and running sums a
+  // walk computes, and no term survived a change of its key.
+  assert((memo == nullptr ||
+          total.value == accumulate(node, channel, exclude, curve, nullptr).value) &&
+         "reception memo served a stale interference term");
   return total;
 }
 
 Dbm Medium::sense_energy(NodeId node, Mhz channel) const {
   // CCA is an energy read: only the analog filter attenuates neighbours.
-  return to_dbm(accumulate(node, channel, /*exclude=*/0, kSensing));
+  return to_dbm(accumulate(node, channel, /*exclude=*/0, kSensing, /*memo=*/nullptr));
 }
 
-Dbm Medium::interference(NodeId rx, Mhz channel, FrameId exclude) const {
+Dbm Medium::interference(NodeId rx, Mhz channel, FrameId exclude, SumMemo* memo) const {
   // Decoding interference: filter + despreading gain both reject neighbours.
-  return to_dbm(accumulate(rx, channel, exclude, kDecode));
+  return to_dbm(accumulate(rx, channel, exclude, kDecode, memo));
 }
 
 bool Medium::carrier_present(NodeId node, Mhz channel, Dbm sensitivity) const {
@@ -262,14 +346,13 @@ bool Medium::carrier_present(NodeId node, Mhz channel, Dbm sensitivity) const {
   // receive floor; a detector tuned below that floor could still hear them,
   // so such a query scans exhaustively instead of trusting the grid.
   const bool force_exhaustive = sensitivity.value < cull_floor_dbm();
-  gather(node, /*ordered=*/false, force_exhaustive);
-  for (const auto& candidate : scratch_) {
-    const ActiveFrame& af = frame_slots_[candidate.second];
-    if (af.frame.src == node) continue;
-    if (!same_channel(af.frame.channel, channel)) continue;
-    if (Dbm{rx_power(af, node).rss_dbm} >= sensitivity) return true;
-  }
-  return false;
+  bool present = false;
+  for_each_candidate(node, /*ordered=*/false, force_exhaustive, [&](const ActiveFrame& af) {
+    if (present || af.frame.src == node) return;
+    if (!same_channel(af.frame.channel, channel)) return;
+    if (Dbm{rx_power(af, node).rss_dbm} >= sensitivity) present = true;
+  });
+  return present;
 }
 
 Medium::Overlap Medium::overlap(NodeId rx, Mhz channel, FrameId exclude) const {
@@ -277,11 +360,9 @@ Medium::Overlap Medium::overlap(NodeId rx, Mhz channel, FrameId exclude) const {
   // the inter-channel noise-floor test nor meaningfully collide co-channel;
   // the candidate set suffices.
   Overlap result;
-  gather(rx, /*ordered=*/false);
-  for (const auto& candidate : scratch_) {
-    const ActiveFrame& af = frame_slots_[candidate.second];
+  for_each_candidate(rx, /*ordered=*/false, /*force_exhaustive=*/false, [&](const ActiveFrame& af) {
     const Frame& f = af.frame;
-    if (f.id == exclude || f.src == rx) continue;
+    if (f.id == exclude || f.src == rx) return;
     if (same_channel(f.channel, channel)) {
       result.co = true;
     } else {
@@ -291,7 +372,7 @@ Medium::Overlap Medium::overlap(NodeId rx, Mhz channel, FrameId exclude) const {
       const Db rejection = leak_attenuation(f, delta, config_.rejection);
       if (Dbm{rx_power(af, rx).rss_dbm} - rejection > config_.noise_floor) result.inter = true;
     }
-  }
+  });
   return result;
 }
 

@@ -27,6 +27,13 @@
 // the exhaustive path — which is pinned by tests and keeps the golden stores
 // byte-stable.
 //
+// Summation order: the medium keeps its live frames in begin_tx order
+// (order_; end_tx removes by binary search on begin_seq). A query whose disc
+// the grid cannot prune — always at paper and crowded scale — walks that
+// list with the per-frame disc test and needs no sort; where the grid does
+// prune (the city) its candidates are sorted by begin_seq. Either way every
+// float sum replays begin_tx order from the noise floor.
+//
 // Hot-path caching: rss() is a pure function of (frame, rx) — tx power minus
 // a position-determined path loss plus a hash-determined shadowing draw —
 // and at paper scale every receiver integrates every concurrent frame on
@@ -35,21 +42,36 @@
 //   * pairwise path loss in per-node open-addressing maps whose entries
 //     snapshot the other endpoint's motion epoch — set_position invalidates
 //     every pair involving the moved node in O(1) by bumping its epoch
-//     (the map amortises log10 across frames of the same pair), and
-//   * per in-flight frame, a map owned by its pool slot from receiver to the
-//     frame's RSS there and, per rejection curve (sensing, decode), the last
-//     queried channel with its attenuated mW term. accumulate() sums those
-//     terms in begin_tx order from the noise floor — the same expression in
-//     the same order as a fresh computation, so every query is bit-identical.
-//     end_tx drops the memo in O(1) (a generation stamp, see node_map.hpp);
-//     set_position drops every live frame's memo, O(active). A frame that
-//     is not on the air (before insertion, after end_tx) is computed fresh.
-// Debug builds cross-check every memo and cache hit against a fresh
-// computation. The caches make the const query methods write to mutable
-// state; a Medium is single-threaded like the Scenario that owns it
+//     (the map amortises log10 across frames of the same pair),
+//   * per frame, a map owned by its pool slot from receiver to the frame's
+//     RSS there and, per rejection curve (sensing, decode), the last queried
+//     channel with its attenuated mW term. begin_tx reserves the slot (and
+//     registers the frame id) *before* notifying listeners, so the rss()
+//     reads of on_tx_start fill the memo the later sums use: one RSS per
+//     (frame, receiver). The reserved frame stays invisible to queries until
+//     it is inserted. end_tx drops the memo in O(1) (a generation stamp, see
+//     node_map.hpp); set_position drops every slot's memo, O(slots). A frame
+//     that is not on the air (after end_tx) is computed fresh, and
+//   * per reception, a SumMemo the caller owns (a Radio clears its own when
+//     it locks onto a frame): the (begin_seq, mW term, running sum) list of
+//     the frames its last interference() summed, keyed on (rx, channel,
+//     exclude, curve, the medium's motion epoch). The medium logs its last
+//     kLiveLog live-set insertions and removals; a memo at most that far
+//     behind replays them — a begun frame's term is appended (it has the
+//     largest begin_seq), an ended frame's term is erased — and only the
+//     running sums from the first changed term on are redone. A memo with
+//     another key, or further behind, is rebuilt by a walk.
+// accumulate() is the only summation path (a memo-less query rebuilds a
+// scratch memo): it adds the terms in begin_seq order from the noise floor —
+// the same expression in the same order as a fresh computation, so every
+// query is bit-identical with or without the memos. Debug builds
+// cross-check every memo and cache hit, and every memo-assisted sum, against
+// a fresh computation. The caches make the const query methods write to
+// mutable state; a Medium is single-threaded like the Scenario that owns it
 // (parallel replication runs one Medium per thread — see sim/parallel.hpp).
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -107,6 +129,39 @@ struct MediumConfig {
 
 class Medium {
  public:
+  /// A reception's memo of the interference sum it computed last time (see
+  /// the header comment). Owned by the caller, passed to interference();
+  /// clear() when a new reception starts. Opaque outside the medium.
+  class SumMemo {
+   public:
+    void clear() {
+      key_ = Key{};
+      terms_.clear();
+    }
+
+   private:
+    friend class Medium;
+    struct Key {
+      NodeId rx = kNoNode;
+      double channel_mhz = std::numeric_limits<double>::quiet_NaN();
+      FrameId exclude = 0;
+      std::size_t curve = 0;
+      std::uint64_t motion_epoch = 0;
+      // NaN channel: a cleared key matches nothing.
+      bool operator==(const Key&) const = default;
+    };
+    /// One summed frame: its attenuated mW term and the running total
+    /// (noise floor plus every term up to and including this one).
+    struct Term {
+      std::uint64_t begin_seq = 0;
+      double mw = 0.0;
+      double sum = 0.0;
+    };
+    Key key_{};
+    std::uint64_t live_changes_ = 0;  ///< the medium's live_changes_ when summed
+    std::vector<Term> terms_;         ///< ascending begin_seq
+  };
+
   explicit Medium(MediumConfig config = {});
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
@@ -147,7 +202,10 @@ class Medium {
 
   /// Interference-plus-noise for decoding frame `exclude` at `rx` on
   /// `channel`: as sense_energy but also excluding the wanted frame itself.
-  [[nodiscard]] Dbm interference(NodeId rx, Mhz channel, FrameId exclude) const;
+  /// A reception that queries repeatedly passes its `memo`; the result is
+  /// bit-identical with or without one.
+  [[nodiscard]] Dbm interference(NodeId rx, Mhz channel, FrameId exclude,
+                                 SumMemo* memo = nullptr) const;
 
   struct Overlap {
     bool co = false;     ///< a co-channel frame is on the air (within range)
@@ -211,13 +269,32 @@ class Medium {
     Vec2 src_pos{};               ///< transmitter position as bucketed in the grid
     std::uint64_t begin_seq = 0;  ///< global begin_tx order: fixes summation order
     double radius = 0.0;          ///< influence radius in metres
-    bool live = false;
-    /// Receiver -> RxPower; cleared in O(1) when the frame leaves the air,
+    bool live = false;            ///< inserted: in order_ and the grid
+    /// Receiver -> RxPower, filled from reservation (before the start
+    /// notification) on; cleared in O(1) when the frame leaves the air,
     /// capacity recycled with the slot.
     mutable NodeMap<RxPower> rx_power;
   };
 
-  [[nodiscard]] MilliWatts accumulate(NodeId node, Mhz channel, FrameId exclude, Curve curve) const;
+  /// Noise floor plus every candidate's attenuated term at `node` in
+  /// begin_seq order. `memo` (nullable) is brought up to date by replaying
+  /// the live-set changes since its last sum when it can, else rebuilt by a
+  /// walk; only the running sums from the first changed term on are redone.
+  [[nodiscard]] MilliWatts accumulate(NodeId node, Mhz channel, FrameId exclude, Curve curve,
+                                      SumMemo* memo) const;
+  /// Applies the live-set changes since `memo`'s last sum to its terms;
+  /// returns the index of the first term whose running sum is stale.
+  [[nodiscard]] std::size_t replay_changes(SumMemo& memo, NodeId node, Mhz channel,
+                                           FrameId exclude, Curve curve) const;
+  /// Whether the frame in `af` counts at a receiver at `at`: inside its
+  /// influence disc, or anywhere when culling is off.
+  [[nodiscard]] bool covers(const ActiveFrame& af, Vec2 at) const {
+    return !config_.culling.enabled || distance_sq(at, af.src_pos) <= af.radius * af.radius;
+  }
+  /// The attenuated mW term of the live frame in `af` at `node` through
+  /// `curve`, from the frame's received-power memo.
+  [[nodiscard]] double term_mw(const ActiveFrame& af, NodeId node, Mhz channel,
+                               Curve curve) const;
   /// Deliver on_tx_start/on_tx_end for `frame` to every listener inside its
   /// influence disc (all listeners when culling is off).
   void notify_listeners(const Frame& frame, Vec2 src_pos, double radius, bool start);
@@ -246,11 +323,14 @@ class Medium {
   [[nodiscard]] double cull_floor_dbm() const {
     return config_.noise_floor.value - config_.culling.margin_db;
   }
-  /// Fills scratch_ with (begin_seq, slot) for every frame relevant to
-  /// `node` — all live frames when exhaustive (culling off or forced), else
-  /// only frames whose influence disc covers `node`. Sorts by begin_seq when
-  /// `ordered` so floating-point accumulation replays begin_tx order exactly.
-  void gather(NodeId node, bool ordered, bool force_exhaustive = false) const;
+  /// Calls `fn(const ActiveFrame&)` for every live frame relevant to
+  /// `node`, in begin_seq order when `ordered`: all of them when exhaustive
+  /// (culling off or forced), else only frames whose influence disc covers
+  /// `node`. Walks order_ unless the grid prunes the query disc; grid
+  /// candidates are sorted by begin_seq so float accumulation replays
+  /// begin_tx order exactly.
+  template <typename Fn>
+  void for_each_candidate(NodeId node, bool ordered, bool force_exhaustive, Fn&& fn) const;
 
   /// A registered listener and the node it listens at (for notification
   /// culling against the influence disc).
@@ -270,7 +350,26 @@ class Medium {
   // -- Active set (slot pool + spatial index) ----------------------------
   std::vector<ActiveFrame> frame_slots_;
   std::vector<std::uint32_t> free_frame_slots_;
+  /// Reserved and live frames (see begin_tx).
   std::unordered_map<FrameId, std::uint32_t> slot_of_;
+  /// Live slots in begin_tx order, i.e. ascending begin_seq.
+  std::vector<std::uint32_t> order_;
+  /// One insertion into or removal from the live set.
+  struct LiveChange {
+    std::uint64_t begin_seq = 0;
+    std::uint32_t slot = 0;
+    bool inserted = false;
+  };
+  /// The last kLiveLog live-set changes, a ring indexed by their running
+  /// count live_changes_. A SumMemo at most kLiveLog changes behind replays
+  /// them instead of walking the live set.
+  static constexpr std::size_t kLiveLog = 64;
+  std::array<LiveChange, kLiveLog> live_log_{};
+  std::uint64_t live_changes_ = 0;
+  void log_change(const ActiveFrame& af, std::uint32_t slot, bool inserted) {
+    live_log_[live_changes_ % kLiveLog] = {af.begin_seq, slot, inserted};
+    ++live_changes_;
+  }
   SpatialFrameGrid grid_;
   std::size_t active_count_ = 0;
   std::uint64_t next_begin_seq_ = 0;
@@ -283,7 +382,11 @@ class Medium {
   /// time. A move bumps the mover's epoch and clears its own map: every
   /// stale pair then fails the epoch check on its next lookup.
   mutable std::vector<NodeMap<PairLoss>> loss_cache_;
-  /// Query candidate buffer, reused across queries (single-threaded).
+  /// Bumped by every set_position; SumMemo keys snapshot it.
+  std::uint64_t motion_epoch_ = 0;
+  /// The memo of memo-less queries, rebuilt by each (single-threaded).
+  mutable SumMemo scratch_memo_;
+  /// Grid candidate buffer, reused across queries (single-threaded).
   mutable std::vector<std::pair<std::uint64_t, std::uint32_t>> scratch_;
 };
 

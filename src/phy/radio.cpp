@@ -110,6 +110,7 @@ void Radio::lock_onto(const Frame& frame, Dbm rssi) {
   ctx.overlapped_co = existing.co;
   ctx.overlapped_inter = existing.inter;
   rx_ = ctx;
+  interference_memo_.clear();
   state_ = State::kRx;
 }
 
@@ -127,7 +128,8 @@ void Radio::close_segment() {
   if (now > lo) {
     const std::int64_t bits = (now - lo) / kBitTime;
     if (bits > 0) {
-      const Dbm interference = medium_.interference(self_, config_.channel, rx_->frame.id);
+      const Dbm interference =
+          medium_.interference(self_, config_.channel, rx_->frame.id, &interference_memo_);
       const double sinr_db = (rx_->rssi - interference).value;
       const double bit_error_rate = ber(config_.ber_model, sinr_db);
       if (rx_->dirty_blocks.empty()) {

@@ -133,6 +133,9 @@ class Radio final : public MediumListener {
   RadioListener* listener_ = nullptr;
   State state_ = State::kIdle;
   std::optional<RxContext> rx_;
+  /// The current reception's interference terms (see Medium::SumMemo);
+  /// cleared when the radio locks onto a frame.
+  Medium::SumMemo interference_memo_;
 
   RadioEnergy energy_;
   sim::SimTime energy_mark_;       // accounted up to here

@@ -7,12 +7,16 @@
 // radius, see docs/scaling.md). Cell size is the receive-floor radius of a
 // nominal transmitter, so a query touches a small constant number of cells.
 //
+// The grid only helps when it prunes: a disc whose bounding box spans more
+// cells than are occupied (paper and crowded scale, where every frame sits
+// in one cell) would probe mostly-empty cells, so for_each_in_disc then
+// declines, and the medium walks its own begin-ordered live list instead.
+//
 // Determinism: the grid's only job is to produce a candidate *set*; every
 // caller either reduces it with an order-independent operation (boolean
 // queries) or sorts candidates by frame insertion sequence before any
 // floating-point accumulation (Medium::accumulate). Cell iteration order is
-// a fixed row-major walk of the disc's bounding box; the hash-map fallback
-// below never feeds an ordered consumer directly.
+// a fixed row-major walk of the disc's bounding box.
 #pragma once
 
 #include <cmath>
@@ -63,26 +67,22 @@ class SpatialFrameGrid {
   }
 
   /// Calls `fn(slot)` for every frame bucketed in a cell that intersects the
-  /// axis-aligned bounding box of the disc (center, radius). Callers apply
-  /// the exact per-frame distance test; the grid only prunes cells.
+  /// axis-aligned bounding box of the disc (center, radius) and returns
+  /// true — but only when that box spans no more cells than are occupied.
+  /// Otherwise the grid cannot prune (paper and crowded scale: every frame
+  /// in one cell), so it visits nothing and returns false, and the caller
+  /// walks its own list. Callers apply the exact per-frame distance test;
+  /// the grid only prunes cells.
   template <typename Fn>
-  void for_each_in_disc(Vec2 center, double radius, Fn&& fn) const {
+  bool for_each_in_disc(Vec2 center, double radius, Fn&& fn) const {
     const std::int64_t cx0 = cell_of(center.x - radius);
     const std::int64_t cx1 = cell_of(center.x + radius);
     const std::int64_t cy0 = cell_of(center.y - radius);
     const std::int64_t cy1 = cell_of(center.y + radius);
     const std::uint64_t span_x = static_cast<std::uint64_t>(cx1 - cx0) + 1;
     const std::uint64_t span_y = static_cast<std::uint64_t>(cy1 - cy0) + 1;
-    // A disc much larger than the occupied region (paper-scale deployments
-    // are a single cell wide) would probe mostly-empty cells; visiting the
-    // occupied cells directly is then strictly cheaper.
-    if (span_x > cells_.size() && span_x * span_y > cells_.size()) {
-      for (const auto& [key, cell] : cells_) {
-        (void)key;
-        for (const std::uint32_t slot : cell) fn(slot);
-      }
-      return;
-    }
+    // Divide instead of multiplying: the product may overflow for a huge disc.
+    if (span_x > cells_.size() || span_y > cells_.size() / span_x) return false;
     for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
       for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
         const auto it = cells_.find(make_key(cx, cy));
@@ -90,6 +90,7 @@ class SpatialFrameGrid {
         for (const std::uint32_t slot : it->second) fn(slot);
       }
     }
+    return true;
   }
 
  private:

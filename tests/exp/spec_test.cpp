@@ -191,7 +191,7 @@ TEST(Spec, LoadMissingFileFailsWithoutLine) {
 
 std::string sweep_line(const std::string& key, int values) {
   std::string line = "sweep " + key + " =";
-  for (int i = 1; i <= values; ++i) line += " " + std::to_string(i);
+  for (int i = 1; i <= values; ++i) line.append(" ").append(std::to_string(i));
   return line + "\n";
 }
 
@@ -271,7 +271,10 @@ TEST(Spec, FormatRoundTripsRandomSpecs) {
       text += "sweep cfd/channels =";
       const int steps = 2 + (int)(rng() % 3);
       for (int s = 0; s < steps; ++s) {
-        text += " " + std::to_string(1 + rng() % 9) + "/" + std::to_string(1 + rng() % 6);
+        // Channels are drawn before cfd; the draw order fixes the generated specs.
+        const auto channels = 1 + rng() % 6;
+        const auto cfd = 1 + rng() % 9;
+        text.append(" ").append(std::to_string(cfd)).append("/").append(std::to_string(channels));
       }
       text += "\n";
     }

@@ -344,8 +344,9 @@ TEST(Checkpointer, ConcurrentSubmittersSerializeInSlotOrder) {
   threads.reserve(kSlots);
   for (int slot = kSlots - 1; slot >= 0; --slot) {
     threads.emplace_back([&checkpointer, slot] {
-      EXPECT_TRUE(checkpointer.submit(slot, "r" + std::to_string(slot),
-                                      "t" + std::to_string(slot), ""));
+      const std::string index = std::to_string(slot);
+      EXPECT_TRUE(checkpointer.submit(slot, std::string{"r"}.append(index),
+                                      std::string{"t"}.append(index), ""));
     });
   }
   // nomc-lint: allow(det-raw-thread)
@@ -353,7 +354,9 @@ TEST(Checkpointer, ConcurrentSubmittersSerializeInSlotOrder) {
   std::string error;
   EXPECT_TRUE(checkpointer.finish(error)) << error;
   std::string expected;
-  for (int slot = 0; slot < kSlots; ++slot) expected += "r" + std::to_string(slot) + "\n";
+  for (int slot = 0; slot < kSlots; ++slot) {
+    expected.append("r").append(std::to_string(slot)).append("\n");
+  }
   EXPECT_EQ(fx.store_bytes(), expected);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace nomc::phy {
@@ -393,6 +394,273 @@ TEST(Medium, ReceiverMotionInvalidatesInFlightMemo) {
   for (const Frame& frame : frames) {
     EXPECT_EQ(medium.rss(frame, kRx).value, fresh.rss(frame, kRx).value);
   }
+}
+
+// -- Reception memo (Medium::SumMemo) ---------------------------------------
+//
+// A reception passes one SumMemo to every interference() query; the memo
+// keeps the terms it summed last time. Each query must equal a memo-less
+// query on a medium freshly built with the same nodes and the same live
+// frames begun in the same order.
+
+/// Receiver (node 0) plus four senders around it.
+const std::vector<Vec2> kField{{0.0, 0.0}, {2.0, 0.0}, {0.0, 3.0}, {-4.0, 1.0}, {1.0, -5.0}};
+
+void add_field(Medium& medium, const std::vector<Vec2>& nodes = kField) {
+  for (const Vec2 at : nodes) medium.add_node(at);
+}
+
+/// Memo-less interference at kRx on a fresh medium with `nodes` whose live
+/// set is `live`, begun in that order.
+double fresh_interference(const std::vector<Vec2>& nodes, const std::vector<Frame>& live,
+                          Mhz channel, FrameId exclude) {
+  Medium fresh{shadowed_config()};
+  add_field(fresh, nodes);
+  for (const Frame& frame : live) fresh.begin_tx(frame);
+  return fresh.interference(kRx, channel, exclude).value;
+}
+
+void erase_frame(std::vector<Frame>& live, FrameId id) {
+  std::erase_if(live, [id](const Frame& f) { return f.id == id; });
+}
+
+TEST(Medium, SumMemoFollowsFramesEndingOutOfStartOrder) {
+  Medium medium{shadowed_config()};
+  add_field(medium);
+  const Frame wanted = make_frame(medium, 1, kChannelA);
+  const Frame a = make_frame(medium, 2, kChannelB, Dbm{-3.0});
+  const Frame b = make_frame(medium, 3, kChannelA, Dbm{-7.0});
+  const Frame c = make_frame(medium, 4, Mhz{2466.0}, Dbm{-1.0});
+  Medium::SumMemo memo;
+  std::vector<Frame> live;
+  std::vector<double> seen;
+  const auto check = [&](const char* step) {
+    const double got = medium.interference(kRx, kChannelA, wanted.id, &memo).value;
+    EXPECT_EQ(got, fresh_interference(kField, live, kChannelA, wanted.id)) << step;
+    seen.push_back(got);
+  };
+  medium.begin_tx(wanted);
+  live.push_back(wanted);
+  check("wanted only");
+  medium.begin_tx(a);
+  live.push_back(a);
+  check("start A");
+  medium.begin_tx(b);
+  live.push_back(b);
+  check("start B");
+  medium.end_tx(a.id);
+  erase_frame(live, a.id);
+  check("end A");
+  medium.begin_tx(c);
+  live.push_back(c);
+  check("start C");
+  medium.end_tx(c.id);
+  erase_frame(live, c.id);
+  check("end C");
+  // Every step really changed the sum, except ending C restores "end A".
+  EXPECT_LT(seen[0], seen[1]);
+  EXPECT_NE(seen[1], seen[2]);
+  EXPECT_NE(seen[2], seen[3]);
+  EXPECT_NE(seen[3], seen[4]);
+  EXPECT_EQ(seen[5], seen[3]);
+}
+
+TEST(Medium, SumMemoCatchesUpOnManyChangesBetweenQueries) {
+  // Between two queries: a frame that starts and ends unseen (its slot is
+  // then reused), several at once, and finally more changes than the
+  // medium remembers, so the memo must be rebuilt.
+  Medium medium{shadowed_config()};
+  add_field(medium);
+  const Frame wanted = make_frame(medium, 1, kChannelA);
+  Medium::SumMemo memo;
+  std::vector<Frame> live{wanted};
+  medium.begin_tx(wanted);
+  const auto check = [&](const char* step) {
+    EXPECT_EQ(medium.interference(kRx, kChannelA, wanted.id, &memo).value,
+              fresh_interference(kField, live, kChannelA, wanted.id))
+        << step;
+  };
+  check("wanted only");
+  const Frame brief = make_frame(medium, 2, kChannelB);
+  medium.begin_tx(brief);
+  medium.end_tx(brief.id);
+  const Frame reuser = make_frame(medium, 3, kChannelA, Dbm{-4.0});
+  medium.begin_tx(reuser);  // takes the brief frame's slot
+  live.push_back(reuser);
+  const Frame other = make_frame(medium, 4, kChannelB, Dbm{-1.0});
+  medium.begin_tx(other);
+  live.push_back(other);
+  check("unseen frame, reused slot, two starts");
+  for (int round = 0; round < 50; ++round) {
+    const Frame burst = make_frame(medium, 2, Mhz{2466.0});
+    medium.begin_tx(burst);
+    medium.end_tx(burst.id);
+  }
+  medium.end_tx(reuser.id);
+  erase_frame(live, reuser.id);
+  const Frame last = make_frame(medium, 3, kChannelB, Dbm{-6.0});
+  medium.begin_tx(last);
+  live.push_back(last);
+  check("more changes than the medium keeps");
+}
+
+TEST(Medium, SumMemoRestartsOnExcludeOrChannelChange) {
+  Medium medium{shadowed_config()};
+  add_field(medium);
+  std::vector<Frame> live{make_frame(medium, 1, kChannelA), make_frame(medium, 2, kChannelB),
+                          make_frame(medium, 3, kChannelA, Dbm{-5.0})};
+  for (const Frame& frame : live) medium.begin_tx(frame);
+  Medium::SumMemo memo;
+  struct Query {
+    Mhz channel;
+    FrameId exclude;
+  };
+  // Same channel, another wanted frame (the first query's wanted frame is
+  // now an interferer); then another channel; then back.
+  const std::vector<Query> queries{{kChannelA, live[0].id}, {kChannelA, live[2].id},
+                                   {kChannelB, live[2].id}, {kChannelA, live[0].id},
+                                   {kChannelB, live[1].id}};
+  for (const Query& q : queries) {
+    EXPECT_EQ(medium.interference(kRx, q.channel, q.exclude, &memo).value,
+              fresh_interference(kField, live, q.channel, q.exclude))
+        << q.channel.value << " / " << q.exclude;
+  }
+  EXPECT_NE(fresh_interference(kField, live, kChannelA, live[0].id),
+            fresh_interference(kField, live, kChannelA, live[2].id));
+}
+
+TEST(Medium, SumMemoFollowsMotionMidReception) {
+  // Move the receiver, then an in-flight interferer's source, between two
+  // queries of one reception.
+  Medium medium{shadowed_config()};
+  add_field(medium);
+  const std::vector<Frame> live{make_frame(medium, 1, kChannelA),
+                                make_frame(medium, 2, kChannelB, Dbm{-2.0}),
+                                make_frame(medium, 3, kChannelA, Dbm{-6.0})};
+  for (const Frame& frame : live) medium.begin_tx(frame);
+  Medium::SumMemo memo;
+  std::vector<Vec2> nodes = kField;
+  const FrameId wanted = live[0].id;
+  const double before = medium.interference(kRx, kChannelA, wanted, &memo).value;
+  EXPECT_EQ(before, fresh_interference(nodes, live, kChannelA, wanted));
+
+  nodes[kRx] = {1.5, 1.0};
+  medium.set_position(kRx, nodes[kRx]);
+  const double rx_moved = medium.interference(kRx, kChannelA, wanted, &memo).value;
+  EXPECT_EQ(rx_moved, fresh_interference(nodes, live, kChannelA, wanted));
+  EXPECT_NE(rx_moved, before);
+
+  nodes[live[2].src] = {6.0, 6.0};
+  medium.set_position(live[2].src, nodes[live[2].src]);
+  const double src_moved = medium.interference(kRx, kChannelA, wanted, &memo).value;
+  EXPECT_EQ(src_moved, fresh_interference(nodes, live, kChannelA, wanted));
+  EXPECT_NE(src_moved, rx_moved);
+}
+
+TEST(Medium, SumMemoReusedAcrossReceptions) {
+  // A radio keeps one memo and clears it when it locks onto the next frame.
+  Medium medium{shadowed_config()};
+  add_field(medium);
+  const Frame first = make_frame(medium, 1, kChannelA);
+  const Frame interferer = make_frame(medium, 2, kChannelB);
+  const Frame second = make_frame(medium, 3, kChannelA, Dbm{-4.0});
+  Medium::SumMemo memo;
+  medium.begin_tx(first);
+  medium.begin_tx(interferer);
+  EXPECT_EQ(medium.interference(kRx, kChannelA, first.id, &memo).value,
+            fresh_interference(kField, {first, interferer}, kChannelA, first.id));
+  medium.end_tx(first.id);
+  memo.clear();
+  medium.begin_tx(second);
+  EXPECT_EQ(medium.interference(kRx, kChannelA, second.id, &memo).value,
+            fresh_interference(kField, {interferer, second}, kChannelA, second.id));
+  medium.end_tx(interferer.id);
+  EXPECT_EQ(medium.interference(kRx, kChannelA, second.id, &memo).value,
+            fresh_interference(kField, {second}, kChannelA, second.id));
+}
+
+/// In on_tx_start: reads the starting frame's RSS, the sensed energy and
+/// the memo-assisted interference, then optionally moves the receiver and
+/// reads the RSS again.
+class StartProbe : public MediumListener {
+ public:
+  StartProbe(Medium& medium, Medium::SumMemo& memo, FrameId wanted, std::optional<Vec2> move_to)
+      : medium_{medium}, memo_{memo}, wanted_{wanted}, move_to_{move_to} {}
+  void on_tx_start(const Frame& frame) override {
+    rss = medium_.rss(frame, kRx).value;
+    sensed = medium_.sense_energy(kRx, kChannelA).value;
+    interference = medium_.interference(kRx, kChannelA, wanted_, &memo_).value;
+    if (move_to_) {
+      medium_.set_position(kRx, *move_to_);
+      rss_after_move = medium_.rss(frame, kRx).value;
+    }
+  }
+  void on_tx_end(const Frame&) override {}
+  double rss = 0.0;
+  double sensed = 0.0;
+  double interference = 0.0;
+  double rss_after_move = 0.0;
+
+ private:
+  Medium& medium_;
+  Medium::SumMemo& memo_;
+  FrameId wanted_;
+  std::optional<Vec2> move_to_;
+};
+
+TEST(Medium, StartingFrameIsReadableOnlyThroughRss) {
+  // begin_tx reserves the frame's slot before notifying: rss() in the
+  // callback is served (and memoized) from it, but no sum sees the frame
+  // before insertion.
+  Medium medium{shadowed_config()};
+  add_field(medium);
+  const Frame wanted = make_frame(medium, 1, kChannelA);
+  medium.begin_tx(wanted);
+  Medium::SumMemo memo;
+  const double sensed_before = medium.sense_energy(kRx, kChannelA).value;
+  const double interference_before = medium.interference(kRx, kChannelA, wanted.id, &memo).value;
+  const Frame starting = make_frame(medium, 2, kChannelA, Dbm{-2.0});
+  StartProbe probe{medium, memo, wanted.id, std::nullopt};
+  medium.add_listener(&probe, kRx);
+  medium.begin_tx(starting);
+  medium.remove_listener(&probe);
+
+  Medium fresh{shadowed_config()};
+  add_field(fresh);
+  EXPECT_EQ(probe.rss, fresh.rss(starting, kRx).value);
+  EXPECT_EQ(probe.sensed, sensed_before);
+  EXPECT_EQ(probe.interference, interference_before);
+  // Inserted now: the memo-filled RSS serves the sums.
+  EXPECT_EQ(medium.rss(starting, kRx).value, probe.rss);
+  EXPECT_EQ(medium.interference(kRx, kChannelA, wanted.id, &memo).value,
+            fresh_interference(kField, {wanted, starting}, kChannelA, wanted.id));
+  EXPECT_GT(medium.sense_energy(kRx, kChannelA).value, sensed_before);
+}
+
+TEST(Medium, MotionClearsAReservedFramesMemo) {
+  // The receiver moves inside on_tx_start, after rss() filled the reserved
+  // slot's memo: later reads must use the new position.
+  Medium medium{shadowed_config()};
+  add_field(medium);
+  const Frame wanted = make_frame(medium, 1, kChannelA);
+  medium.begin_tx(wanted);
+  Medium::SumMemo memo;
+  const Frame starting = make_frame(medium, 2, kChannelA, Dbm{-2.0});
+  const Vec2 moved{-3.0, -2.0};
+  StartProbe probe{medium, memo, wanted.id, moved};
+  medium.add_listener(&probe, kRx);
+  medium.begin_tx(starting);
+  medium.remove_listener(&probe);
+
+  std::vector<Vec2> nodes = kField;
+  nodes[kRx] = moved;
+  Medium fresh{shadowed_config()};
+  add_field(fresh, nodes);
+  EXPECT_EQ(probe.rss_after_move, fresh.rss(starting, kRx).value);
+  EXPECT_NE(probe.rss_after_move, probe.rss);
+  EXPECT_EQ(medium.rss(starting, kRx).value, probe.rss_after_move);
+  EXPECT_EQ(medium.interference(kRx, kChannelA, wanted.id, &memo).value,
+            fresh_interference(nodes, {wanted, starting}, kChannelA, wanted.id));
 }
 
 }  // namespace
