@@ -13,9 +13,12 @@
 // deployment and on Case III — the configuration where DCN's limitation
 // bites and the classifier should shine.
 #include <cstdio>
-#include <functional>
 
 #include "common.hpp"
+#include "exp/campaign.hpp"
+#include "net/scenario.hpp"
+#include "net/topology.hpp"
+#include "sim/parallel.hpp"
 
 namespace {
 
@@ -23,12 +26,10 @@ using namespace nomc;
 
 double run_case(bool dense, net::Scheme scheme, int trials) {
   const auto channels = phy::evenly_spaced(bench::kBandStart, phy::Mhz{3.0}, 6);
-  double overall = 0.0;
-  for (int trial = 0; trial < trials; ++trial) {
-    const std::uint64_t seed = 17 + static_cast<std::uint64_t>(trial) * 1000003;
-    net::RandomCaseConfig topo;
-    if (dense) topo.region_m = 3.0;
-    sim::RandomStream placement{seed, 999};
+  net::RandomCaseConfig topo;
+  if (dense) topo.region_m = 3.0;
+  const exp::TrialBody body = [&](int, std::uint64_t seed) {
+    sim::RandomStream placement{seed, /*index=*/999};
     const auto specs = dense ? net::case1_dense(channels, placement, topo)
                              : net::case3_random(channels, placement, topo);
     net::ScenarioConfig config;
@@ -36,9 +37,10 @@ double run_case(bool dense, net::Scheme scheme, int trials) {
     net::Scenario scenario{config};
     scenario.add_networks(specs, scheme);
     scenario.run(sim::SimTime::seconds(2.0), sim::SimTime::seconds(8.0));
-    overall += scenario.overall_throughput();
-  }
-  return overall / trials;
+    return exp::collect_trial(scenario, 8.0);
+  };
+  sim::ParallelRunner runner{1};
+  return exp::run_trials(trials, /*base_seed=*/17, runner, body).overall_pps;
 }
 
 }  // namespace

@@ -8,9 +8,12 @@
 // packet for ZigBee, CFD=3 without DCN, and CFD=3 with DCN on the dense
 // evaluation deployment.
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "common.hpp"
+#include "net/scenario.hpp"
+#include "net/topology.hpp"
 
 namespace {
 

@@ -14,6 +14,7 @@
 #include <optional>
 
 #include "common.hpp"
+#include "net/scenario.hpp"
 #include "ppr/ppr.hpp"
 
 namespace {

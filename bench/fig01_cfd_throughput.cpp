@@ -8,6 +8,8 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "exp/campaign.hpp"
+#include "sim/parallel.hpp"
 
 int main() {
   using namespace nomc;
@@ -17,12 +19,18 @@ int main() {
   stats::TablePrinter table{{"CFD (MHz)", "channels", "overall (pkt/s)", "per-network (pkt/s)"}};
   double best_cfd = 0.0;
   double best_pps = -1.0;
+  sim::ParallelRunner runner{1};
   for (const double cfd : {9.0, 5.0, 4.0, 3.0, 2.0}) {
     const auto channels = bench::motivation_channels(cfd);
-    const bench::BandResult result = bench::run_band(channels, net::Scheme::kFixedCca);
+    exp::PointParams params;
+    params.scheme = "fixed";
+    params.cfd_mhz = cfd;
+    params.channels = static_cast<int>(channels.size());
+    params.power_dbm = 0.0;
+    const exp::PointResult result = exp::run_point(params, runner);
 
     std::string per_network;
-    for (double v : result.per_network_pps) {
+    for (double v : result.pps) {
       if (!per_network.empty()) per_network += " ";
       per_network += stats::TablePrinter::num(v, 0);
     }

@@ -12,36 +12,50 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "exp/campaign.hpp"
+#include "net/scenario.hpp"
+#include "net/topology.hpp"
+#include "sim/parallel.hpp"
 
 namespace {
 
 using namespace nomc;
 
-struct Fig14Row {
-  double n0_without, n0_with;
-  double others_without, others_with;
-};
+constexpr int kMedian = 2;  // N0 = the median-frequency network (Fig. 13)
 
-Fig14Row run_cfd(double cfd_mhz, const bench::BandRunParams& params) {
+/// Five networks at `cfd_mhz`, fixed CCA everywhere except DCN on N0, with
+/// DCN's updating window set to `t_update`.
+exp::PointResult run_dcn_on_n0(double cfd_mhz, sim::SimTime t_update,
+                               sim::ParallelRunner& runner) {
   const auto channels = phy::evenly_spaced(bench::kBandStart, phy::Mhz{cfd_mhz}, 5);
-  const int median = 2;  // N0 = the median-frequency network (Fig. 13)
+  const auto topology = net::RandomCaseConfig{}.with_fixed_power(phy::Dbm{0.0});
+  const exp::PointParams defaults;
+  return exp::run_trials(defaults.trials, defaults.seed, runner, [&](int, std::uint64_t seed) {
+    sim::RandomStream placement{seed, /*index=*/999};
+    const auto specs = net::case1_dense(channels, placement, topology);
+    net::ScenarioConfig config;
+    config.seed = seed;
+    config.dcn.t_update = t_update;
+    net::Scenario scenario{config};
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const int n = scenario.add_network(specs[i].channel, static_cast<int>(i) == kMedian
+                                                               ? net::Scheme::kDcn
+                                                               : net::Scheme::kFixedCca);
+      for (const net::LinkSpec& link : specs[i].links) scenario.add_link(n, link);
+    }
+    scenario.run(sim::SimTime::seconds(defaults.warmup_s),
+                 sim::SimTime::seconds(defaults.measure_s));
+    return exp::collect_trial(scenario, defaults.measure_s);
+  });
+}
 
-  const bench::BandResult without =
-      bench::run_band(channels, net::Scheme::kFixedCca, params);
-  const bench::BandResult with = bench::run_band_mixed(
-      channels,
-      [median](int i) { return i == median ? net::Scheme::kDcn : net::Scheme::kFixedCca; },
-      params);
-
-  Fig14Row row{};
-  row.n0_without = without.per_network_pps[median];
-  row.n0_with = with.per_network_pps[median];
-  for (std::size_t i = 0; i < channels.size(); ++i) {
-    if (static_cast<int>(i) == median) continue;
-    row.others_without += without.per_network_pps[i];
-    row.others_with += with.per_network_pps[i];
+/// Total throughput of every network but N0.
+double others(const exp::PointResult& result) {
+  double total = 0.0;
+  for (std::size_t i = 0; i < result.pps.size(); ++i) {
+    if (static_cast<int>(i) != kMedian) total += result.pps[i];
   }
-  return row;
+  return total;
 }
 
 }  // namespace
@@ -52,14 +66,21 @@ int main() {
 
   stats::TablePrinter table{{"CFD (MHz)", "N0 w/o (pkt/s)", "N0 with (pkt/s)", "N0 gain",
                              "others w/o", "others with", "others change"}};
-  bench::BandRunParams params;
+  sim::ParallelRunner runner{1};
+  const sim::SimTime default_t_update = dcn::DcnConfig{}.t_update;
   for (const double cfd : {2.0, 3.0}) {
-    const Fig14Row row = run_cfd(cfd, params);
-    table.add_row({stats::TablePrinter::num(cfd, 0), bench::pps(row.n0_without),
-                   bench::pps(row.n0_with),
-                   bench::pct(row.n0_with / row.n0_without - 1.0),
-                   bench::pps(row.others_without), bench::pps(row.others_with),
-                   bench::pct(row.others_with / row.others_without - 1.0)});
+    exp::PointParams all_fixed;
+    all_fixed.scheme = "fixed";
+    all_fixed.cfd_mhz = cfd;
+    all_fixed.channels = 5;
+    all_fixed.power_dbm = 0.0;
+    const exp::PointResult without = exp::run_point(all_fixed, runner);
+    const exp::PointResult with = run_dcn_on_n0(cfd, default_t_update, runner);
+    table.add_row({stats::TablePrinter::num(cfd, 0), bench::pps(without.pps[kMedian]),
+                   bench::pps(with.pps[kMedian]),
+                   bench::pct(with.pps[kMedian] / without.pps[kMedian] - 1.0),
+                   bench::pps(others(without)), bench::pps(others(with)),
+                   bench::pct(others(with) / others(without) - 1.0)});
   }
   table.print();
   std::printf("\nPaper: N0 gains ~27%% at both CFDs; other networks lose ~5%%.\n");
@@ -68,28 +89,8 @@ int main() {
   std::printf("\nAblation — updating window T_U (CFD=3 MHz, DCN on N0):\n");
   stats::TablePrinter ablation{{"T_U (s)", "N0 with DCN (pkt/s)"}};
   for (const double tu : {1.0, 3.0, 6.0, 12.0}) {
-    bench::BandRunParams p;
-    p.topology = params.topology;
-    const auto channels = phy::evenly_spaced(bench::kBandStart, phy::Mhz{3.0}, 5);
-    // Re-run with a customized DCN config.
-    double n0 = 0.0;
-    for (int trial = 0; trial < p.trials; ++trial) {
-      const std::uint64_t seed = p.seed + static_cast<std::uint64_t>(trial) * 1000003;
-      sim::RandomStream placement{seed, 999};
-      const auto specs = net::case1_dense(channels, placement, p.topology);
-      net::ScenarioConfig config;
-      config.seed = seed;
-      config.dcn.t_update = sim::SimTime::seconds(tu);
-      net::Scenario scenario{config};
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        const int n = scenario.add_network(
-            specs[i].channel, i == 2 ? net::Scheme::kDcn : net::Scheme::kFixedCca);
-        for (const net::LinkSpec& link : specs[i].links) scenario.add_link(n, link);
-      }
-      scenario.run(p.warmup, p.measure);
-      n0 += scenario.network_result(2).throughput_pps;
-    }
-    ablation.add_row({stats::TablePrinter::num(tu, 0), bench::pps(n0 / p.trials)});
+    const exp::PointResult result = run_dcn_on_n0(3.0, sim::SimTime::seconds(tu), runner);
+    ablation.add_row({stats::TablePrinter::num(tu, 0), bench::pps(result.pps[kMedian])});
   }
   ablation.print();
   return 0;

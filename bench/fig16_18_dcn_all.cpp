@@ -11,29 +11,35 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "exp/campaign.hpp"
+#include "sim/parallel.hpp"
 
 int main() {
   using namespace nomc;
   bench::print_header("Figs. 16-18", "DCN on all 5 networks: per-network and overall "
                                      "throughput, CFD = 2 and 3 MHz");
 
-  bench::BandRunParams params;
+  sim::ParallelRunner runner{1};
   double overall_with[2] = {0.0, 0.0};
   int idx = 0;
   for (const double cfd : {2.0, 3.0}) {
-    const auto channels = phy::evenly_spaced(bench::kBandStart, phy::Mhz{cfd}, 5);
-    const bench::BandResult without = bench::run_band(channels, net::Scheme::kFixedCca, params);
-    const bench::BandResult with = bench::run_band(channels, net::Scheme::kDcn, params);
+    exp::PointParams params;
+    params.cfd_mhz = cfd;
+    params.channels = 5;
+    params.power_dbm = 0.0;
+    params.scheme = "fixed";
+    const exp::PointResult without = exp::run_point(params, runner);
+    params.scheme = "dcn";
+    const exp::PointResult with = exp::run_point(params, runner);
     overall_with[idx++] = with.overall_pps;
 
     std::printf("CFD = %.0f MHz (Fig. %d):\n", cfd, cfd == 2.0 ? 16 : 17);
     stats::TablePrinter table{{"network", "w/o scheme (pkt/s)", "with DCN (pkt/s)", "gain"}};
-    for (std::size_t i = 0; i < channels.size(); ++i) {
+    for (std::size_t i = 0; i < without.pps.size(); ++i) {
       std::string network = "N";
       network += std::to_string(i);
-      table.add_row({network, bench::pps(without.per_network_pps[i]),
-                     bench::pps(with.per_network_pps[i]),
-                     bench::pct(with.per_network_pps[i] / without.per_network_pps[i] - 1.0)});
+      table.add_row({network, bench::pps(without.pps[i]), bench::pps(with.pps[i]),
+                     bench::pct(with.pps[i] / without.pps[i] - 1.0)});
     }
     table.add_row({"overall", bench::pps(without.overall_pps), bench::pps(with.overall_pps),
                    bench::pct(with.overall_pps / without.overall_pps - 1.0)});

@@ -4,39 +4,49 @@
 //   * the paper's design: 6 channels at CFD=3 MHz, DCN on every network.
 // The paper reports ~58 % overall throughput improvement, with each DCN
 // network also individually beating its ZigBee counterpart.
+#include <algorithm>
 #include <cstdio>
 
 #include "common.hpp"
+#include "exp/campaign.hpp"
+#include "sim/parallel.hpp"
 
 int main() {
   using namespace nomc;
   bench::print_header("Fig. 19", "Overall throughput: default ZigBee (4ch @ 5MHz, fixed CCA) "
                                  "vs DCN design (6ch @ 3MHz) on a 15 MHz band");
 
-  const auto zigbee_channels = phy::evenly_spaced(bench::kBandStart, phy::Mhz{5.0}, 4);
-  const auto dcn_channels = phy::evenly_spaced(bench::kBandStart, phy::Mhz{3.0}, 6);
+  exp::PointParams zigbee_params;
+  zigbee_params.scheme = "fixed";
+  zigbee_params.cfd_mhz = 5.0;
+  zigbee_params.channels = 4;
+  zigbee_params.power_dbm = 0.0;
+  exp::PointParams dcn_params;
+  dcn_params.scheme = "dcn";
+  dcn_params.cfd_mhz = 3.0;
+  dcn_params.channels = 6;
+  dcn_params.power_dbm = 0.0;
 
-  const bench::BandResult zigbee = bench::run_band(zigbee_channels, net::Scheme::kFixedCca);
-  const bench::BandResult dcn = bench::run_band(dcn_channels, net::Scheme::kDcn);
+  sim::ParallelRunner runner{1};
+  const exp::PointResult zigbee = exp::run_point(zigbee_params, runner);
+  const exp::PointResult dcn = exp::run_point(dcn_params, runner);
 
   stats::TablePrinter table{{"design", "channels", "overall (pkt/s)", "mean/network (pkt/s)"}};
-  table.add_row({"ZigBee default", std::to_string(zigbee_channels.size()),
+  table.add_row({"ZigBee default", std::to_string(zigbee.pps.size()),
                  bench::pps(zigbee.overall_pps),
-                 bench::pps(zigbee.overall_pps / static_cast<double>(zigbee_channels.size()))});
-  table.add_row({"DCN (CFD=3MHz)", std::to_string(dcn_channels.size()),
-                 bench::pps(dcn.overall_pps),
-                 bench::pps(dcn.overall_pps / static_cast<double>(dcn_channels.size()))});
+                 bench::pps(zigbee.overall_pps / static_cast<double>(zigbee.pps.size()))});
+  table.add_row({"DCN (CFD=3MHz)", std::to_string(dcn.pps.size()), bench::pps(dcn.overall_pps),
+                 bench::pps(dcn.overall_pps / static_cast<double>(dcn.pps.size()))});
   table.print();
 
   std::printf("\nPer-network breakdown:\n");
   stats::TablePrinter detail{{"network", "ZigBee (pkt/s)", "DCN (pkt/s)"}};
-  const std::size_t rows = std::max(zigbee.per_network_pps.size(), dcn.per_network_pps.size());
+  const std::size_t rows = std::max(zigbee.pps.size(), dcn.pps.size());
   for (std::size_t i = 0; i < rows; ++i) {
     std::string network = "N";
     network += std::to_string(i);
-    detail.add_row({network,
-                    i < zigbee.per_network_pps.size() ? bench::pps(zigbee.per_network_pps[i]) : "-",
-                    i < dcn.per_network_pps.size() ? bench::pps(dcn.per_network_pps[i]) : "-"});
+    detail.add_row({network, i < zigbee.pps.size() ? bench::pps(zigbee.pps[i]) : "-",
+                    i < dcn.pps.size() ? bench::pps(dcn.pps[i]) : "-"});
   }
   detail.print();
 

@@ -13,6 +13,10 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "exp/campaign.hpp"
+#include "net/scenario.hpp"
+#include "net/topology.hpp"
+#include "sim/parallel.hpp"
 
 int main() {
   using namespace nomc;
@@ -20,35 +24,29 @@ int main() {
                                      "TX power, others at 0 dBm (6 networks, CFD=3 MHz)");
 
   const auto channels = phy::evenly_spaced(bench::kBandStart, phy::Mhz{3.0}, 6);
+  const auto topology = net::RandomCaseConfig{}.with_fixed_power(phy::Dbm{0.0});
   const int central = 3;  // central-frequency network ("N0" in the paper)
-  bench::BandRunParams params;
+  const exp::PointParams defaults;
+  sim::ParallelRunner runner{1};
 
   stats::TablePrinter table{{"N0 power (dBm)", "N0 (pkt/s)", "N0 PRR", "others total (pkt/s)"}};
   for (const double power : {-33.0, -22.0, -15.0, -11.0, -6.0, -3.0, 0.0}) {
-    double n0 = 0.0;
-    double n0_prr = 0.0;
-    double others = 0.0;
-    for (int trial = 0; trial < params.trials; ++trial) {
-      const std::uint64_t seed = params.seed + static_cast<std::uint64_t>(trial) * 1000003;
-      sim::RandomStream placement{seed, 999};
-      auto specs = net::case1_dense(channels, placement, params.topology);
-      for (net::LinkSpec& link : specs[central].links) link.tx_power = phy::Dbm{power};
-
-      net::ScenarioConfig config;
-      config.seed = seed;
-      net::Scenario scenario{config};
-      scenario.add_networks(specs, net::Scheme::kDcn);
-      scenario.run(params.warmup, params.measure);
-
-      const auto result = scenario.network_result(central);
-      n0 += result.throughput_pps;
-      double prr_sum = 0.0;
-      for (const auto& link : result.links) prr_sum += link.prr;
-      n0_prr += prr_sum / static_cast<double>(result.links.size());
-      others += scenario.overall_throughput() - result.throughput_pps;
-    }
-    table.add_row({stats::TablePrinter::num(power, 0), bench::pps(n0 / params.trials),
-                   bench::pct(n0_prr / params.trials), bench::pps(others / params.trials)});
+    const exp::PointResult result =
+        exp::run_trials(defaults.trials, defaults.seed, runner, [&](int, std::uint64_t seed) {
+          sim::RandomStream placement{seed, /*index=*/999};
+          auto specs = net::case1_dense(channels, placement, topology);
+          for (net::LinkSpec& link : specs[central].links) link.tx_power = phy::Dbm{power};
+          net::ScenarioConfig config;
+          config.seed = seed;
+          net::Scenario scenario{config};
+          scenario.add_networks(specs, net::Scheme::kDcn);
+          scenario.run(sim::SimTime::seconds(defaults.warmup_s),
+                       sim::SimTime::seconds(defaults.measure_s));
+          return exp::collect_trial(scenario, defaults.measure_s);
+        });
+    table.add_row({stats::TablePrinter::num(power, 0), bench::pps(result.pps[central]),
+                   bench::pct(result.prr[central]),
+                   bench::pps(result.overall_pps - result.pps[central])});
   }
   table.print();
   std::printf("\nPaper: N0 grows with power (PRR-limited below ~-15 dBm, CCA-relaxation-"

@@ -17,6 +17,10 @@
 #include <functional>
 
 #include "common.hpp"
+#include "exp/campaign.hpp"
+#include "net/scenario.hpp"
+#include "net/topology.hpp"
+#include "sim/parallel.hpp"
 
 namespace {
 
@@ -27,22 +31,20 @@ using TopologyFn = std::function<std::vector<net::NetworkSpec>(
 double run_design(const TopologyFn& topology, const net::RandomCaseConfig& base_topo,
                   std::span<const phy::Mhz> channels, int links_per_network, net::Scheme scheme,
                   int trials, std::uint64_t seed0) {
-  double overall = 0.0;
-  for (int trial = 0; trial < trials; ++trial) {
-    const std::uint64_t seed = seed0 + static_cast<std::uint64_t>(trial) * 1000003;
-    net::RandomCaseConfig topo = base_topo;
-    topo.links_per_network = links_per_network;
-    sim::RandomStream placement{seed, 999};
+  net::RandomCaseConfig topo = base_topo;
+  topo.links_per_network = links_per_network;
+  const exp::TrialBody body = [&](int, std::uint64_t seed) {
+    sim::RandomStream placement{seed, /*index=*/999};
     const auto specs = topology(channels, placement, topo);
-
     net::ScenarioConfig config;
     config.seed = seed;
     net::Scenario scenario{config};
     scenario.add_networks(specs, scheme);
     scenario.run(sim::SimTime::seconds(2.0), sim::SimTime::seconds(8.0));
-    overall += scenario.overall_throughput();
-  }
-  return overall / trials;
+    return exp::collect_trial(scenario, 8.0);
+  };
+  sim::ParallelRunner runner{1};
+  return exp::run_trials(trials, seed0, runner, body).overall_pps;
 }
 
 }  // namespace

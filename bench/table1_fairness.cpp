@@ -9,6 +9,10 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "exp/campaign.hpp"
+#include "net/scenario.hpp"
+#include "net/topology.hpp"
+#include "sim/parallel.hpp"
 #include "stats/fairness.hpp"
 
 int main() {
@@ -16,46 +20,47 @@ int main() {
   bench::print_header("Table I", "Per-network throughput fairness under DCN "
                                  "(6 networks, CFD=3 MHz, 15 MHz band)");
 
-  const auto channels = phy::evenly_spaced(bench::kBandStart, phy::Mhz{3.0}, 6);
-  bench::BandRunParams params;
+  exp::PointParams params;
+  params.scheme = "dcn";
+  params.cfd_mhz = 3.0;
+  params.channels = 6;
+  params.power_dbm = 0.0;
   params.trials = 5;
-  const bench::BandResult result = bench::run_band(channels, net::Scheme::kDcn, params);
+  sim::ParallelRunner runner{1};
+  const exp::PointResult result = exp::run_point(params, runner);
 
   stats::TablePrinter table{{"network", "throughput (pkt/s)"}};
-  for (std::size_t i = 0; i < result.per_network_pps.size(); ++i) {
+  for (std::size_t i = 0; i < result.pps.size(); ++i) {
     std::string network = "N";
     network += std::to_string(i);
-    table.add_row({network, bench::pps(result.per_network_pps[i])});
+    table.add_row({network, bench::pps(result.pps[i])});
   }
   table.print();
   std::printf("\nRelative spread: %.1f%% (paper: ~4%%)   Jain index: %.3f\n",
-              100.0 * stats::relative_spread(result.per_network_pps),
-              stats::jain_index(result.per_network_pps));
+              100.0 * stats::relative_spread(result.pps), result.jain);
 
   std::printf("\nAblation — CCA-Adjustor safety margin:\n");
   stats::TablePrinter ablation{{"margin (dB)", "overall (pkt/s)", "spread", "Jain"}};
+  const auto channels = phy::evenly_spaced(bench::kBandStart, phy::Mhz{params.cfd_mhz},
+                                           params.channels);
+  const auto topology = net::RandomCaseConfig{}.with_fixed_power(phy::Dbm{*params.power_dbm});
   for (const double margin : {0.0, 2.0, 4.0, 8.0}) {
-    double overall = 0.0;
-    std::vector<double> per(channels.size(), 0.0);
-    for (int trial = 0; trial < params.trials; ++trial) {
-      const std::uint64_t seed = params.seed + static_cast<std::uint64_t>(trial) * 1000003;
-      sim::RandomStream placement{seed, 999};
-      const auto specs = net::case1_dense(channels, placement, params.topology);
-      net::ScenarioConfig config;
-      config.seed = seed;
-      config.dcn.safety_margin = phy::Db{margin};
-      net::Scenario scenario{config};
-      scenario.add_networks(specs, net::Scheme::kDcn);
-      scenario.run(params.warmup, params.measure);
-      overall += scenario.overall_throughput();
-      const auto pps = scenario.network_throughputs();
-      for (std::size_t i = 0; i < per.size(); ++i) per[i] += pps[i];
-    }
-    for (double& v : per) v /= params.trials;
-    ablation.add_row({stats::TablePrinter::num(margin, 0),
-                      bench::pps(overall / params.trials),
-                      bench::pct(stats::relative_spread(per)),
-                      stats::TablePrinter::num(stats::jain_index(per), 3)});
+    const exp::PointResult with_margin =
+        exp::run_trials(params.trials, params.seed, runner, [&](int, std::uint64_t seed) {
+          sim::RandomStream placement{seed, /*index=*/999};
+          const auto specs = net::case1_dense(channels, placement, topology);
+          net::ScenarioConfig config;
+          config.seed = seed;
+          config.dcn.safety_margin = phy::Db{margin};
+          net::Scenario scenario{config};
+          scenario.add_networks(specs, net::Scheme::kDcn);
+          scenario.run(sim::SimTime::seconds(params.warmup_s),
+                       sim::SimTime::seconds(params.measure_s));
+          return exp::collect_trial(scenario, params.measure_s);
+        });
+    ablation.add_row({stats::TablePrinter::num(margin, 0), bench::pps(with_margin.overall_pps),
+                      bench::pct(stats::relative_spread(with_margin.pps)),
+                      stats::TablePrinter::num(with_margin.jain, 3)});
   }
   ablation.print();
   return 0;

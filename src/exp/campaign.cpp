@@ -16,12 +16,6 @@
 namespace nomc::exp {
 namespace {
 
-/// Matches bench::trial_seed and nomc-sim: distinct deployments per trial,
-/// reproducible per point.
-std::uint64_t trial_seed(const PointParams& params, int trial) {
-  return params.seed + static_cast<std::uint64_t>(trial) * 1000003;
-}
-
 bool store_exists(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) return false;
@@ -84,15 +78,14 @@ bool rewrite_timing_sidecar(const std::string& path, const std::set<int>& comple
   return true;
 }
 
-/// One trial's per-network numbers; backoffs and drops are per second of the
-/// measurement window.
-struct TrialNumbers {
-  std::vector<double> pps, prr, backoffs, drops;
-  double overall = 0.0;
-};
+}  // namespace
 
-TrialNumbers collect_trial(const net::Scenario& scenario, double measure_s) {
-  TrialNumbers one;
+std::uint64_t trial_seed(std::uint64_t base, int trial) {
+  return base + static_cast<std::uint64_t>(trial) * 1000003;
+}
+
+TrialResult collect_trial(const net::Scenario& scenario, double measure_s) {
+  TrialResult one;
   one.overall = scenario.overall_throughput();
   for (int n = 0; n < scenario.network_count(); ++n) {
     const net::Scenario::NetworkResult network = scenario.network_result(n);
@@ -112,7 +105,37 @@ TrialNumbers collect_trial(const net::Scenario& scenario, double measure_s) {
   return one;
 }
 
-}  // namespace
+PointResult run_trials(int trials, std::uint64_t base_seed, sim::ParallelRunner& runner,
+                       const TrialBody& body) {
+  const std::vector<TrialResult> per_trial =
+      runner.map(trials, [&](int trial) { return body(trial, trial_seed(base_seed, trial)); });
+
+  PointResult mean;
+  const std::size_t networks = per_trial.front().pps.size();
+  mean.pps.assign(networks, 0.0);
+  mean.prr.assign(networks, 0.0);
+  mean.backoffs_per_s.assign(networks, 0.0);
+  mean.drops_per_s.assign(networks, 0.0);
+  for (const TrialResult& one : per_trial) {
+    for (std::size_t n = 0; n < networks; ++n) {
+      mean.pps[n] += one.pps[n];
+      mean.prr[n] += one.prr[n];
+      mean.backoffs_per_s[n] += one.backoffs[n];
+      mean.drops_per_s[n] += one.drops[n];
+    }
+    mean.overall_pps += one.overall;
+  }
+  const double count = static_cast<double>(trials);
+  for (std::size_t n = 0; n < networks; ++n) {
+    mean.pps[n] /= count;
+    mean.prr[n] /= count;
+    mean.backoffs_per_s[n] /= count;
+    mean.drops_per_s[n] /= count;
+  }
+  mean.overall_pps /= count;
+  mean.jain = stats::jain_index(mean.pps);
+  return mean;
+}
 
 PointResult run_point(const PointParams& params, sim::ParallelRunner& runner,
                       const TrialHook& pre_run) {
@@ -130,8 +153,7 @@ PointResult run_point(const PointParams& params, sim::ParallelRunner& runner,
     topology = topology.with_fixed_power(phy::Dbm{*params.power_dbm});
   }
 
-  const std::vector<TrialNumbers> per_trial = runner.map(params.trials, [&](int trial) {
-    const std::uint64_t seed = trial_seed(params, trial);
+  return run_trials(params.trials, params.seed, runner, [&](int trial, std::uint64_t seed) {
     sim::RandomStream placement{seed, /*index=*/999};
     std::vector<net::NetworkSpec> specs;
     if (params.topology == "clustered") {
@@ -153,32 +175,6 @@ PointResult run_point(const PointParams& params, sim::ParallelRunner& runner,
                  sim::SimTime::seconds(params.measure_s));
     return collect_trial(scenario, params.measure_s);
   });
-
-  PointResult mean;
-  const std::size_t networks = per_trial.front().pps.size();
-  mean.pps.assign(networks, 0.0);
-  mean.prr.assign(networks, 0.0);
-  mean.backoffs_per_s.assign(networks, 0.0);
-  mean.drops_per_s.assign(networks, 0.0);
-  for (const TrialNumbers& one : per_trial) {
-    for (std::size_t n = 0; n < networks; ++n) {
-      mean.pps[n] += one.pps[n];
-      mean.prr[n] += one.prr[n];
-      mean.backoffs_per_s[n] += one.backoffs[n];
-      mean.drops_per_s[n] += one.drops[n];
-    }
-    mean.overall_pps += one.overall;
-  }
-  const double trials = static_cast<double>(params.trials);
-  for (std::size_t n = 0; n < networks; ++n) {
-    mean.pps[n] /= trials;
-    mean.prr[n] /= trials;
-    mean.backoffs_per_s[n] /= trials;
-    mean.drops_per_s[n] /= trials;
-  }
-  mean.overall_pps /= trials;
-  mean.jain = stats::jain_index(mean.pps);
-  return mean;
 }
 
 std::string format_record(const CampaignSpec& spec, const SweepPoint& point,

@@ -6,14 +6,15 @@
 // finished first.
 //
 // Determinism contract: a point's record bytes are a pure function of the
-// spec — trials are seeded per point exactly like nomc-sim / bench::trial_seed
-// (seed + trial * 1000003) and merged in seed order, so the store is
-// byte-identical whether the campaign ran straight through, was interrupted
-// and resumed, or used any (jobs, point_jobs) combination. Checkpoint
-// granularity is one sweep point: resume re-runs at most the points that
-// were in flight.
+// spec — trials are seeded per point by trial_seed and merged in seed order
+// (run_trials, the one trial loop that nomc-sim, nomc-compare and the figure
+// benches also use), so the store is byte-identical whether the campaign ran
+// straight through, was interrupted and resumed, or used any (jobs,
+// point_jobs) combination. Checkpoint granularity is one sweep point: resume
+// re-runs at most the points that were in flight.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -40,13 +41,37 @@ struct PointResult {
   double jain = 0.0;  ///< Jain fairness index of the mean per-network pps
 };
 
+/// One trial's per-network numbers; backoffs and drops are per second of the
+/// measurement window.
+struct TrialResult {
+  std::vector<double> pps, prr, backoffs, drops;
+  double overall = 0.0;
+};
+
+/// Seed of trial `trial` of a point seeded `base`: distinct deployments per
+/// trial, reproducible per point.
+[[nodiscard]] std::uint64_t trial_seed(std::uint64_t base, int trial);
+
+/// Read one finished trial's numbers out of its Scenario.
+[[nodiscard]] TrialResult collect_trial(const net::Scenario& scenario, double measure_s);
+
+/// Builds, runs and collects one trial: body(trial, trial_seed(base, trial)).
+using TrialBody = std::function<TrialResult(int trial, std::uint64_t seed)>;
+
+/// The trial loop: `trials` bodies replicated on `runner`, merged in seed
+/// order, so the mean is bit-identical at any job count. Callers whose
+/// deployment PointParams cannot express (a per-network scheme, a DCN knob,
+/// a room geometry) supply their own body; everything else calls run_point.
+[[nodiscard]] PointResult run_trials(int trials, std::uint64_t base_seed,
+                                     sim::ParallelRunner& runner, const TrialBody& body);
+
 /// Called for each trial's Scenario after construction, before run()
 /// (nomc-sim uses it to attach the event trace to trial 0).
 using TrialHook = std::function<void(int trial, net::Scenario&)>;
 
-/// Run one operating point: params.trials independent deployments replicated
-/// on `runner`, merged in seed order. The params must be pre-validated
-/// (parser or cli helpers); run_point asserts on an unknown scheme/topology.
+/// Run one operating point: run_trials over params.trials deployments of
+/// `params`. The params must be pre-validated (parser or cli helpers);
+/// run_point asserts on an unknown scheme/topology.
 [[nodiscard]] PointResult run_point(const PointParams& params, sim::ParallelRunner& runner,
                                     const TrialHook& pre_run = {});
 

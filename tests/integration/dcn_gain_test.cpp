@@ -2,47 +2,38 @@
 // standard evaluation deployment (dense region, saturated traffic).
 #include <gtest/gtest.h>
 
+#include "exp/campaign.hpp"
 #include "net/scenario.hpp"
 #include "net/topology.hpp"
 #include "phy/channel_plan.hpp"
+#include "sim/parallel.hpp"
 #include "stats/fairness.hpp"
 
 namespace nomc {
 namespace {
 
-struct RunResult {
-  std::vector<double> per_network;
-  double overall = 0.0;
-};
-
-RunResult run_dense(std::span<const phy::Mhz> channels, net::Scheme scheme, int links,
-                    std::uint64_t seed) {
-  net::RandomCaseConfig topology = net::RandomCaseConfig{}.with_fixed_power(phy::Dbm{0.0});
-  topology.links_per_network = links;
-  net::ScenarioConfig config;
-  config.seed = seed;
-  net::Scenario scenario{config};
-  sim::RandomStream placement{seed, 999};
-  scenario.add_networks(net::case1_dense(channels, placement, topology), scheme);
-  scenario.run(sim::SimTime::seconds(2.0), sim::SimTime::seconds(6.0));
-  return RunResult{scenario.network_throughputs(), scenario.overall_throughput()};
-}
-
-double mean_over_seeds(std::span<const phy::Mhz> channels, net::Scheme scheme, int links) {
-  double sum = 0.0;
-  for (const std::uint64_t seed : {1ull, 1000004ull, 2000007ull}) {
-    sum += run_dense(channels, scheme, links, seed).overall;
-  }
-  return sum / 3.0;
+/// The dense deployment at 0 dBm with a 6 s window, averaged over `trials`
+/// seeded layouts through the same trial loop the campaigns run.
+exp::PointResult run_dense(const char* scheme, double cfd, int channels, int links,
+                           int trials = 3) {
+  exp::PointParams params;
+  params.scheme = scheme;
+  params.cfd_mhz = cfd;
+  params.channels = channels;
+  params.links = links;
+  params.power_dbm = 0.0;
+  params.measure_s = 6.0;
+  params.seed = 1;
+  params.trials = trials;
+  sim::ParallelRunner runner{1};
+  return exp::run_point(params, runner);
 }
 
 TEST(DcnGain, HeadlineZigbeeComparison) {
   // Fig. 19: DCN (6 ch @ 3 MHz) vs ZigBee (4 ch @ 5 MHz) on 15 MHz, same
   // node count. Paper: 38.4-58 % improvement; we lock a generous band.
-  const auto zigbee = phy::evenly_spaced(phy::Mhz{2458.0}, phy::Mhz{5.0}, 4);
-  const auto packed = phy::evenly_spaced(phy::Mhz{2458.0}, phy::Mhz{3.0}, 6);
-  const double zigbee_pps = mean_over_seeds(zigbee, net::Scheme::kFixedCca, 3);
-  const double dcn_pps = mean_over_seeds(packed, net::Scheme::kDcn, 2);
+  const double zigbee_pps = run_dense("fixed", 5.0, 4, 3).overall_pps;
+  const double dcn_pps = run_dense("dcn", 3.0, 6, 2).overall_pps;
   const double gain = dcn_pps / zigbee_pps - 1.0;
   EXPECT_GT(gain, 0.30);
   EXPECT_LT(gain, 0.80);
@@ -51,9 +42,8 @@ TEST(DcnGain, HeadlineZigbeeComparison) {
 TEST(DcnGain, DcnBeatsFixedCcaOnSameChannels) {
   // Fig. 17/18: at CFD=3 MHz, DCN adds throughput over the fixed threshold
   // on every trial (paper: ~+10 % overall).
-  const auto packed = phy::evenly_spaced(phy::Mhz{2458.0}, phy::Mhz{3.0}, 6);
-  const double fixed = mean_over_seeds(packed, net::Scheme::kFixedCca, 2);
-  const double dcn = mean_over_seeds(packed, net::Scheme::kDcn, 2);
+  const double fixed = run_dense("fixed", 3.0, 6, 2).overall_pps;
+  const double dcn = run_dense("dcn", 3.0, 6, 2).overall_pps;
   EXPECT_GT(dcn, fixed * 1.02);
   EXPECT_LT(dcn, fixed * 1.5);
 }
@@ -61,21 +51,19 @@ TEST(DcnGain, DcnBeatsFixedCcaOnSameChannels) {
 TEST(DcnGain, EveryNetworkImproves) {
   // Fig. 17: applying DCN on all networks helps each one (good collaboration
   // — no network wins at another's expense).
-  const auto packed = phy::evenly_spaced(phy::Mhz{2458.0}, phy::Mhz{3.0}, 6);
-  const RunResult fixed = run_dense(packed, net::Scheme::kFixedCca, 2, 1);
-  const RunResult dcn = run_dense(packed, net::Scheme::kDcn, 2, 1);
-  ASSERT_EQ(fixed.per_network.size(), dcn.per_network.size());
-  for (std::size_t n = 0; n < fixed.per_network.size(); ++n) {
-    EXPECT_GT(dcn.per_network[n], fixed.per_network[n] * 0.97) << "network " << n;
+  const exp::PointResult fixed = run_dense("fixed", 3.0, 6, 2, /*trials=*/1);
+  const exp::PointResult dcn = run_dense("dcn", 3.0, 6, 2, /*trials=*/1);
+  ASSERT_EQ(fixed.pps.size(), dcn.pps.size());
+  for (std::size_t n = 0; n < fixed.pps.size(); ++n) {
+    EXPECT_GT(dcn.pps[n], fixed.pps[n] * 0.97) << "network " << n;
   }
 }
 
 TEST(DcnGain, FairnessAcrossNetworks) {
   // Table I: DCN does not starve any network; Jain index stays near 1.
-  const auto packed = phy::evenly_spaced(phy::Mhz{2458.0}, phy::Mhz{3.0}, 6);
-  const RunResult dcn = run_dense(packed, net::Scheme::kDcn, 2, 1);
-  EXPECT_GT(stats::jain_index(dcn.per_network), 0.98);
-  EXPECT_LT(stats::relative_spread(dcn.per_network), 0.20);
+  const exp::PointResult dcn = run_dense("dcn", 3.0, 6, 2, /*trials=*/1);
+  EXPECT_GT(dcn.jain, 0.98);
+  EXPECT_LT(stats::relative_spread(dcn.pps), 0.20);
 }
 
 TEST(DcnGain, AdjustorsSettleAboveDefault) {
@@ -102,14 +90,10 @@ TEST(DcnGain, MotivationOrderingHolds) {
   // Fig. 1's qualitative content, as a regression lock: with the default
   // fixed CCA on a 12 MHz band, CFD=3 MHz beats both the ZigBee spacing and
   // the orthogonal assignment, and CFD=2 MHz does not beat CFD=3 MHz.
-  const double cfd9 = mean_over_seeds(phy::evenly_spaced(phy::Mhz{2458.0}, phy::Mhz{9.0}, 1),
-                                      net::Scheme::kFixedCca, 2);
-  const double cfd5 = mean_over_seeds(phy::evenly_spaced(phy::Mhz{2458.0}, phy::Mhz{5.0}, 2),
-                                      net::Scheme::kFixedCca, 2);
-  const double cfd3 = mean_over_seeds(phy::evenly_spaced(phy::Mhz{2458.0}, phy::Mhz{3.0}, 4),
-                                      net::Scheme::kFixedCca, 2);
-  const double cfd2 = mean_over_seeds(phy::evenly_spaced(phy::Mhz{2458.0}, phy::Mhz{2.0}, 6),
-                                      net::Scheme::kFixedCca, 2);
+  const double cfd9 = run_dense("fixed", 9.0, 1, 2).overall_pps;
+  const double cfd5 = run_dense("fixed", 5.0, 2, 2).overall_pps;
+  const double cfd3 = run_dense("fixed", 3.0, 4, 2).overall_pps;
+  const double cfd2 = run_dense("fixed", 2.0, 6, 2).overall_pps;
   EXPECT_GT(cfd5, cfd9 * 1.5);
   EXPECT_GT(cfd3, cfd5 * 1.2);
   EXPECT_GE(cfd3, cfd2 * 0.98);

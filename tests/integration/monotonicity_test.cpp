@@ -2,10 +2,12 @@
 // with their driving parameter, across the full stack.
 #include <gtest/gtest.h>
 
+#include "exp/campaign.hpp"
 #include "mac/attacker.hpp"
 #include "net/scenario.hpp"
 #include "net/topology.hpp"
 #include "phy/channel_plan.hpp"
+#include "sim/parallel.hpp"
 
 namespace nomc {
 namespace {
@@ -105,25 +107,23 @@ TEST(Monotonicity, FrameSizeTradeoff) {
 TEST(Monotonicity, DcnGainShrinksWithSeparation) {
   auto gain_at_spacing = [](double room_spacing) {
     const auto channels = phy::evenly_spaced(phy::Mhz{2458.0}, phy::Mhz{3.0}, 4);
-    double fixed = 0.0;
-    double dcn = 0.0;
-    for (const std::uint64_t seed : {5ull, 6ull}) {
-      for (const bool use_dcn : {false, true}) {
+    net::RandomCaseConfig topology = net::RandomCaseConfig{}.with_fixed_power(phy::Dbm{0.0});
+    topology.region_m = 1.0;
+    topology.room_spacing_m = room_spacing;
+    sim::ParallelRunner runner{1};
+    auto overall = [&](net::Scheme scheme) {
+      const exp::TrialBody body = [&](int, std::uint64_t seed) {
         net::ScenarioConfig config;
         config.seed = seed;
         net::Scenario scenario{config};
-        net::RandomCaseConfig topology =
-            net::RandomCaseConfig{}.with_fixed_power(phy::Dbm{0.0});
-        topology.region_m = 1.0;
-        topology.room_spacing_m = room_spacing;
         sim::RandomStream placement{seed, 999};
-        scenario.add_networks(net::case2_clustered(channels, placement, topology),
-                              use_dcn ? net::Scheme::kDcn : net::Scheme::kFixedCca);
+        scenario.add_networks(net::case2_clustered(channels, placement, topology), scheme);
         scenario.run(sim::SimTime::seconds(2.0), sim::SimTime::seconds(4.0));
-        (use_dcn ? dcn : fixed) += scenario.overall_throughput();
-      }
-    }
-    return dcn / fixed - 1.0;
+        return exp::collect_trial(scenario, 4.0);
+      };
+      return exp::run_trials(/*trials=*/2, /*base_seed=*/5, runner, body).overall_pps;
+    };
+    return overall(net::Scheme::kDcn) / overall(net::Scheme::kFixedCca) - 1.0;
   };
 
   const double tight = gain_at_spacing(1.6);

@@ -197,9 +197,12 @@ pid_t spawn_tool(const std::vector<std::string>& args) {
   return pid;
 }
 
-/// The server's live worker children, found by walking /proc for processes
-/// whose parent is the daemon (the workers are `nomc-campaign worker`).
-std::vector<pid_t> worker_children(pid_t server_pid) {
+/// The server's worker children that are computing right now, found by
+/// walking /proc for processes whose parent is the daemon (the workers are
+/// `nomc-campaign worker`) and whose state is R. A worker waiting for its
+/// next lease sleeps on its stdin (state S); killing one of those re-leases
+/// nothing.
+std::vector<pid_t> computing_workers(pid_t server_pid) {
   std::vector<pid_t> out;
   for (const auto& entry : std::filesystem::directory_iterator("/proc")) {
     const std::string name = entry.path().filename().string();
@@ -212,9 +215,10 @@ std::vector<pid_t> worker_children(pid_t server_pid) {
     const std::size_t comm_open = stat.find('(');
     const std::string comm = stat.substr(comm_open + 1, close - comm_open - 1);
     if (comm.find("nomc-campaign") == std::string::npos) continue;
+    char state = 0;
     pid_t ppid = 0;
-    if (std::sscanf(stat.c_str() + close + 1, " %*c %d", &ppid) != 1) continue;
-    if (ppid == server_pid) out.push_back(static_cast<pid_t>(std::stol(name)));
+    if (std::sscanf(stat.c_str() + close + 1, " %c %d", &state, &ppid) != 2) continue;
+    if (ppid == server_pid && state == 'R') out.push_back(static_cast<pid_t>(std::stol(name)));
   }
   return out;
 }
@@ -228,18 +232,18 @@ TEST(ServiceE2E, Workers4SurviveSigkillMidCampaign) {
   std::filesystem::remove_all(data_dir);
   std::filesystem::create_directories(data_dir);
 
-  // Long enough simulated windows that the grid is still mid-flight when
-  // the kill lands (tiny windows finish in tens of milliseconds — faster
-  // than a /proc scan can find the victim).
+  // Every point is long enough (about 0.15 s in a Release build) to still
+  // be running when the kill lands: a one-link, 3-simulated-second point
+  // finishes in a few milliseconds, before a /proc scan can find the victim.
   const std::string spec_text =
       "name = e2e_w4\n"
-      "channels = 2\n"
-      "links = 1\n"
+      "channels = 4\n"
+      "links = 2\n"
       "power = 0\n"
       "warmup = 1\n"
-      "measure = 2\n"
+      "measure = 12\n"
       "trials = 1\n"
-      "sweep links = 1 2 3 4 5 6 7 8\n";
+      "sweep seed = 1 2 3 4 5 6 7 8\n";
   const std::string spec_path = data_dir + "/e2e_w4.campaign";
   {
     std::FILE* file = std::fopen(spec_path.c_str(), "wb");
@@ -270,22 +274,21 @@ TEST(ServiceE2E, Workers4SurviveSigkillMidCampaign) {
   }
   ASSERT_TRUE(up) << error;
 
-  // Submit from the CLI, then SIGKILL the first worker we can find — the
-  // pool spawns them the moment the sharded job starts, each already
-  // holding a one-point lease.
+  // Submit from the CLI, then SIGKILL a worker while it computes a point:
+  // a running worker holds a one-point lease it has not yet delivered.
   const pid_t submit_pid =
       spawn_tool({NOMC_CAMPAIGN_BIN, "submit", spec_path, "--server", kSocketW4});
   ASSERT_GT(submit_pid, 0);
   pid_t victim = -1;
   for (int i = 0; i < 2000 && victim < 0; ++i) {
-    const std::vector<pid_t> workers = worker_children(server_pid);
+    const std::vector<pid_t> workers = computing_workers(server_pid);
     if (!workers.empty()) {
       victim = workers.front();
     } else {
       ::usleep(2000);
     }
   }
-  ASSERT_GT(victim, 0) << "no worker process appeared under the daemon";
+  ASSERT_GT(victim, 0) << "no worker under the daemon was seen computing";
   ASSERT_EQ(::kill(victim, SIGKILL), 0);
 
   // The CLI submit must still succeed: the supervisor re-leases the killed

@@ -6,61 +6,28 @@
 //
 //   nomc-compare --a-cfd 5 --a-channels 4 --a-scheme fixed --a-links 3
 //                --b-cfd 3 --b-channels 6 --b-scheme dcn --trials 10
+//
+// Each side of a paired trial is a single-trial exp::run_point on the seed
+// exp::trial_seed(--seed, i), so a side's numbers match nomc-sim's for that
+// seed.
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "cli/args.hpp"
 #include "cli/options.hpp"
-#include "net/scenario.hpp"
-#include "net/topology.hpp"
-#include "phy/channel_plan.hpp"
+#include "exp/campaign.hpp"
+#include "sim/parallel.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 
-namespace {
-
-using namespace nomc;
-
-struct Design {
-  double cfd = 3.0;
-  int channels = 6;
-  int links = 2;
-  net::Scheme scheme = net::Scheme::kDcn;
-  std::string scheme_name = "dcn";
-};
-
-double run_once(const Design& design, const std::string& topology_name,
-                const net::RandomCaseConfig& base_topology, double band_start,
-                std::uint64_t seed, double warmup_s, double measure_s) {
-  const auto channels =
-      phy::evenly_spaced(phy::Mhz{band_start}, phy::Mhz{design.cfd}, design.channels);
-  net::RandomCaseConfig topology = base_topology;
-  topology.links_per_network = design.links;
-  sim::RandomStream placement{seed, 999};
-  const auto specs = topology_name == "clustered"
-                         ? net::case2_clustered(channels, placement, topology)
-                     : topology_name == "random"
-                         ? net::case3_random(channels, placement, topology)
-                         : net::case1_dense(channels, placement, topology);
-
-  net::ScenarioConfig config;
-  config.seed = seed;
-  net::Scenario scenario{config};
-  scenario.add_networks(specs, design.scheme);
-  scenario.run(sim::SimTime::seconds(warmup_s), sim::SimTime::seconds(measure_s));
-  return scenario.overall_throughput();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace nomc;
   cli::ArgParser args;
   args.add_double("band-start", 2458.0, "first channel center (MHz), both designs");
   cli::add_topology_option(args);
   args.add_double("power", 0.0, "fixed TX power (dBm); omit for random [-22, 0]");
   args.add_int("trials", 5, "paired random deployments");
-  args.add_int("seed", 1, "base seed (trial i uses seed + i*1000003)");
+  args.add_int("seed", 1, "base seed; paired trial i derives its own seed from it");
   args.add_double("warmup", 2.0, "warm-up (s)");
   args.add_double("measure", 8.0, "measurement window (s)");
   args.add_double("a-cfd", 5.0, "design A: channel distance (MHz)");
@@ -76,49 +43,50 @@ int main(int argc, char** argv) {
     return *exit_code;
   }
 
-  Design a;
-  a.cfd = args.get_double("a-cfd");
-  a.channels = args.get_int("a-channels");
-  a.links = args.get_int("a-links");
-  a.scheme_name = args.get_string("a-scheme");
-  Design b;
-  b.cfd = args.get_double("b-cfd");
-  b.channels = args.get_int("b-channels");
-  b.links = args.get_int("b-links");
-  b.scheme_name = args.get_string("b-scheme");
-  if (!cli::scheme_from_args(args, "a-scheme", a.scheme) ||
-      !cli::scheme_from_args(args, "b-scheme", b.scheme)) {
+  net::Scheme scheme;
+  if (!cli::scheme_from_args(args, "a-scheme", scheme) ||
+      !cli::scheme_from_args(args, "b-scheme", scheme)) {
     return 2;
   }
-  std::string topology_name;
-  if (!cli::topology_from_args(args, "topology", topology_name)) return 2;
 
-  net::RandomCaseConfig topology;
-  if (args.provided("power")) {
-    topology = topology.with_fixed_power(phy::Dbm{args.get_double("power")});
-  }
+  // Both designs share the deployment knobs; each paired trial is one
+  // single-trial point per design on the same seed.
+  exp::PointParams shared;
+  if (!cli::topology_from_args(args, "topology", shared.topology)) return 2;
+  shared.band_start_mhz = args.get_double("band-start");
+  if (args.provided("power")) shared.power_dbm = args.get_double("power");
+  shared.warmup_s = args.get_double("warmup");
+  shared.measure_s = args.get_double("measure");
+  shared.trials = 1;
 
+  exp::PointParams a = shared;
+  a.cfd_mhz = args.get_double("a-cfd");
+  a.channels = args.get_int("a-channels");
+  a.links = args.get_int("a-links");
+  a.scheme = args.get_string("a-scheme");
+  exp::PointParams b = shared;
+  b.cfd_mhz = args.get_double("b-cfd");
+  b.channels = args.get_int("b-channels");
+  b.links = args.get_int("b-links");
+  b.scheme = args.get_string("b-scheme");
   const int trials = args.get_int("trials");
+  const auto base_seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  sim::ParallelRunner runner{1};
   stats::SummaryStats stats_a;
   stats::SummaryStats stats_b;
   stats::SummaryStats gain;
   for (int trial = 0; trial < trials; ++trial) {
-    const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed")) +
-                               static_cast<std::uint64_t>(trial) * 1000003;
-    const double result_a =
-        run_once(a, topology_name, topology, args.get_double("band-start"), seed,
-                 args.get_double("warmup"), args.get_double("measure"));
-    const double result_b =
-        run_once(b, topology_name, topology, args.get_double("band-start"), seed,
-                 args.get_double("warmup"), args.get_double("measure"));
+    a.seed = b.seed = exp::trial_seed(base_seed, trial);
+    const double result_a = exp::run_point(a, runner).overall_pps;
+    const double result_b = exp::run_point(b, runner).overall_pps;
     stats_a.add(result_a);
     stats_b.add(result_b);
     if (result_a > 0.0) gain.add(100.0 * (result_b / result_a - 1.0));
   }
 
-  auto describe = [](const Design& d) {
-    return std::to_string(d.channels) + "ch @ " + stats::TablePrinter::num(d.cfd, 0) +
-           "MHz, " + d.scheme_name;
+  auto describe = [](const exp::PointParams& d) {
+    return std::to_string(d.channels) + "ch @ " + stats::TablePrinter::num(d.cfd_mhz, 0) +
+           "MHz, " + d.scheme;
   };
   stats::TablePrinter table{{"design", "overall (pkt/s)", "±95% CI"}};
   table.add_row({"A: " + describe(a), stats::TablePrinter::num(stats_a.mean(), 1),

@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   args.add_double("warmup", 2.0, "warm-up before measurement (s)");
   args.add_double("measure", 8.0, "measurement window (s)");
   args.add_int("seed", 1, "random seed (placement, fading, backoff)");
-  args.add_int("trials", 1, "independent random deployments averaged (seed + i*1000003)");
+  args.add_int("trials", 1, "independent random deployments averaged, one seed each");
   args.add_int("jobs", 1, "worker threads for trials (0 = all hardware threads)");
   args.add_string("trace", "", "write a CSV event trace to this path (needs --trials 1)");
 
