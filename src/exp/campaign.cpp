@@ -302,9 +302,10 @@ bool run_point_range(const CampaignSpec& spec, int first, int count,
                                               double wall_ms)>& emit,
                      std::string& error) {
   const std::vector<SweepPoint> points = expand_grid(spec);
-  if (first < 0 || count <= 0 ||
-      static_cast<std::size_t>(first) + static_cast<std::size_t>(count) > points.size()) {
-    error = "point range [" + std::to_string(first) + ", " + std::to_string(first + count) +
+  // In 64 bits: a lease may carry first + count past INT_MAX.
+  const std::int64_t end = std::int64_t{first} + count;
+  if (first < 0 || count <= 0 || end > static_cast<std::int64_t>(points.size())) {
+    error = "point range [" + std::to_string(first) + ", " + std::to_string(end) +
             ") is outside the " + std::to_string(points.size()) + "-point grid";
     return false;
   }

@@ -259,6 +259,10 @@ bool parse_record(const std::string& line, ResultRecord& out, std::string& error
     error = "record missing campaign/spec_hash/point";
     return false;
   }
+  if (out.point < 0) {
+    error = "record point is negative";
+    return false;
+  }
   out.campaign = campaign->string;
   out.spec_hash = hash->string;
 
@@ -282,6 +286,12 @@ bool parse_record(const std::string& line, ResultRecord& out, std::string& error
       !numbers_from(per_network->find("backoffs_per_s"), out.backoffs_per_s) ||
       !numbers_from(per_network->find("drops_per_s"), out.drops_per_s)) {
     error = "record missing per_network arrays";
+    return false;
+  }
+  const std::size_t networks = out.pps.size();
+  if (out.prr.size() != networks || out.backoffs_per_s.size() != networks ||
+      out.drops_per_s.size() != networks) {
+    error = "record per_network arrays differ in length";
     return false;
   }
   const JsonValue* overall = root.find("overall_pps");
@@ -491,11 +501,11 @@ std::vector<std::string> csv_record_rows(const ResultRecord& record,
     row += ',';
     json_append_double(row, record.pps[n]);
     row += ',';
-    json_append_double(row, n < record.prr.size() ? record.prr[n] : 0.0);
+    json_append_double(row, record.prr[n]);
     row += ',';
-    json_append_double(row, n < record.backoffs_per_s.size() ? record.backoffs_per_s[n] : 0.0);
+    json_append_double(row, record.backoffs_per_s[n]);
     row += ',';
-    json_append_double(row, n < record.drops_per_s.size() ? record.drops_per_s[n] : 0.0);
+    json_append_double(row, record.drops_per_s[n]);
     row += ',';
     json_append_double(row, record.overall_pps);
     row += ',';

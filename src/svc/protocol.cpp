@@ -184,8 +184,7 @@ bool parse_lease(const std::string& line, LeaseRequest& out, std::string& error)
   }
   out.spec = spec->string;
   if (const exp::JsonValue* jobs = root.find("jobs");
-      jobs != nullptr && jobs->type == exp::JsonValue::Type::kNumber &&
-      !exp::json_int(jobs, out.jobs)) {
+      jobs != nullptr && !exp::json_int(jobs, out.jobs)) {
     error = "lease \"jobs\" must be an integer";
     return false;
   }

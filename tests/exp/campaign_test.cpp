@@ -10,8 +10,10 @@
 
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "exp/result_store.hpp"
 #include "exp/spec.hpp"
@@ -297,6 +299,24 @@ TEST(Campaign, RunPointMatchesStoredRecordNumbers) {
   const std::string line = format_record(spec, points[0], result);
   const std::string& reference = reference_bytes();
   EXPECT_EQ(reference.substr(0, line.size() + 1), line + "\n");
+}
+
+TEST(Campaign, RunPointRangeRejectsRangesPastTheGrid) {
+  // A worker lease can name any int pair; first + count must not overflow
+  // on the way to the error text.
+  const CampaignSpec spec = test_spec();
+  for (const auto& [first, count] : {std::pair{1, INT_MAX}, std::pair{INT_MAX, 1}}) {
+    bool emitted = false;
+    const auto emit = [&emitted](const SweepPoint&, const std::string&, double) {
+      emitted = true;
+      return true;
+    };
+    std::string error;
+    EXPECT_FALSE(run_point_range(spec, first, count, RangeOptions{}, emit, error));
+    EXPECT_FALSE(emitted);
+    EXPECT_NE(error.find("outside the 4-point grid"), std::string::npos) << error;
+    EXPECT_NE(error.find("2147483648)"), std::string::npos) << error;
+  }
 }
 
 }  // namespace

@@ -119,13 +119,32 @@ TEST(Store, ParseRecordRejectsMissingFields) {
   std::string error;
   EXPECT_FALSE(parse_record(R"({"v":1,"point":0})", record, error));
   EXPECT_FALSE(parse_record("not json", record, error));
-  // A complete record whose point is not an exact int.
-  for (const char* point : {"2.5", "1e300", "-1e300"}) {
+  // A complete record whose point is not an exact int >= 0.
+  for (const char* point : {"2.5", "1e300", "-1e300", "-1"}) {
     std::string line{kRecordA};
     const std::string valid = R"("point":0,)";
     line.replace(line.find(valid), valid.size(), std::string{R"("point":)"} + point + ",");
     EXPECT_FALSE(parse_record(line, record, error)) << line;
     EXPECT_NE(error.find("point"), std::string::npos) << line;
+  }
+}
+
+TEST(Store, ParseRecordRejectsRaggedArrays) {
+  // The CSV export reads entry n of every per-network array for each n of
+  // pps, so a short array must be an error, not a made-up 0.
+  ResultRecord record;
+  std::string error;
+  const std::string arrays = R"("pps":[10,20],"prr":[0.5,0.25],"backoffs_per_s":[1,2],)"
+                             R"("drops_per_s":[3,4])";
+  for (const char* ragged :
+       {R"("pps":[10,20],"prr":[0.5],"backoffs_per_s":[1,2],"drops_per_s":[3,4])",
+        R"("pps":[10],"prr":[0.5,0.25],"backoffs_per_s":[1,2],"drops_per_s":[3,4])",
+        R"("pps":[10,20],"prr":[0.5,0.25],"backoffs_per_s":[],"drops_per_s":[3,4])",
+        R"("pps":[10,20],"prr":[0.5,0.25],"backoffs_per_s":[1,2],"drops_per_s":[3,4,5])"}) {
+    std::string line{kRecordA};
+    line.replace(line.find(arrays), arrays.size(), ragged);
+    EXPECT_FALSE(parse_record(line, record, error)) << line;
+    EXPECT_NE(error.find("differ in length"), std::string::npos) << line;
   }
 }
 

@@ -193,6 +193,13 @@ TEST(WorkerProtocol, LeaseLineRoundTrips) {
   EXPECT_FALSE(parse_lease(R"({"op":"submit","spec":"s"})", parsed, error));
   EXPECT_FALSE(parse_lease(R"({"op":"lease","spec":"s","first":0})", parsed, error));
   EXPECT_FALSE(parse_lease("not json", parsed, error));
+  // A jobs that is present must be an int, never silently read as 1.
+  for (const char* jobs : {R"("4")", "null", "true", "[4]", "{}"}) {
+    const std::string line =
+        std::string{R"({"op":"lease","spec":"s","first":0,"count":1,"jobs":)"} + jobs + "}";
+    EXPECT_FALSE(parse_lease(line, parsed, error)) << line;
+    EXPECT_NE(error.find("jobs"), std::string::npos) << line;
+  }
   for (const char* number : {"2.5", "1e300", "-1e300"}) {
     const std::string n{number};
     for (const std::string& line :

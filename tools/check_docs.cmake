@@ -8,7 +8,7 @@
 #   1. every backticked repo path (a token starting with src/, docs/,
 #      tools/, bench/, tests/, or examples/) resolves — directories,
 #      globs (`tests/golden/*.jsonl`), `:line` suffixes, and extensionless
-#      binary references (`bench/scaling_curve` -> scaling_curve.cpp) are
+#      binary references (`bench/micro_substrate` -> micro_substrate.cpp) are
 #      all understood;
 #   2. every relative markdown link target resolves from the linking file;
 #   3. every tool binary this repo builds (tools/CMakeLists.txt
@@ -40,8 +40,8 @@ function(check_path_token doc_name token)
       return()
     endif()
   else()
-    # Built-binary references (`bench/scaling_curve`) resolve through their
-    # source file (`bench/scaling_curve.cpp`).
+    # Built-binary references (`bench/micro_substrate`) resolve through their
+    # source file (`bench/micro_substrate.cpp`).
     file(GLOB hits "${REPO_ROOT}/${path}.*")
     if(hits)
       return()
